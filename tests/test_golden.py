@@ -1,0 +1,110 @@
+"""Golden gate: CLI output on both fixture corpora, byte for byte.
+
+Each case runs `cli.main(argv)` in-process and compares stdout (and, for
+the usage-error cases, stderr) plus the exit code with the files under
+tests/golden/<corpus>/. Cluster, dupes and filter cases read the CSV that
+`convert` writes for the same corpus.
+
+Regenerate the goldens (only when an output change is intended) with
+
+    python tests/test_golden.py
+
+which runs every case as a `python -m mailminer` subprocess.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from conftest import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, run_cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPORA = {"corpus": FIXTURE_CORPUS, "dup_corpus": FIXTURE_DUP_CORPUS}
+
+# (case name, argv); "{dir}" is the corpus directory, "{csv}" its converted CSV.
+CASES = [
+    ("convert_csv", ["convert", "{dir}"]),
+    ("convert_arff", ["convert", "{dir}", "--format", "arff"]),
+    ("convert_attrs", ["convert", "{dir}", "--attrs", "From,Subject,HTML"]),
+    ("cluster_text", ["cluster", "{csv}", "--k", "2", "--seed", "42", "--report", "text"]),
+    ("cluster_csv", ["cluster", "{csv}", "--k", "2", "--seed", "42", "--report", "csv"]),
+    ("cluster_svg", ["cluster", "{csv}", "--k", "2", "--seed", "42", "--report", "svg"]),
+    ("cluster_auto_k", ["cluster", "{csv}", "--auto-k", "--kmax", "3", "--seed", "42"]),
+    ("dupes", ["dupes", "{csv}", "--attrs", "From,Subject,HTML"]),
+    ("top_senders", ["top-senders", "{dir}", "-n", "3"]),
+    ("filter_remove", ["filter", "{csv}", "--remove", "Date,MessageId,CC"]),
+    ("filter_sample", ["filter", "{csv}", "--sample", "0.5", "--seed", "7"]),
+    ("filter_shuffle", ["filter", "{csv}", "--shuffle", "--seed", "7"]),
+    ("filter_discretize", ["filter", "{csv}", "--discretize", "Date:3"]),
+]
+
+# Usage errors: stderr is part of the golden too.
+ERROR_CASES = [
+    ("dupes_bogus", ["dupes", "{csv}", "--attrs", "Bogus"]),
+    ("filter_remove_all", ["filter", "{csv}", "--remove", "Date,MessageId,CC,From,Subject,HTML"]),
+    ("filter_discretize_text", ["filter", "{csv}", "--discretize", "Subject:2"]),
+]
+
+PARAMS = [
+    (corpus, name, argv, name in dict(ERROR_CASES))
+    for corpus in CORPORA
+    for name, argv in CASES + ERROR_CASES
+]
+
+
+def _argv(argv, corpus, csv_path):
+    return [a.format(dir=CORPORA[corpus], csv=csv_path) for a in argv]
+
+
+def _exit_codes():
+    return json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def csv_paths(tmp_path_factory):
+    from mailminer import cli
+
+    paths = {}
+    for corpus, directory in CORPORA.items():
+        path = tmp_path_factory.mktemp("golden") / f"{corpus}.csv"
+        assert cli.main(["convert", str(directory), "--out", str(path)]) == 0
+        paths[corpus] = path
+    return paths
+
+
+@pytest.mark.parametrize(
+    "corpus,name,argv,with_stderr", PARAMS, ids=[f"{p[0]}-{p[1]}" for p in PARAMS]
+)
+def test_golden(corpus, name, argv, with_stderr, csv_paths, capsysbinary):
+    from mailminer import cli
+
+    capsysbinary.readouterr()
+    code = cli.main(_argv(argv, corpus, csv_paths[corpus]))
+    out, err = capsysbinary.readouterr()
+    assert code == _exit_codes()[f"{corpus}/{name}"]
+    assert out == (GOLDEN / corpus / f"{name}.stdout").read_bytes()
+    if with_stderr:
+        assert err == (GOLDEN / corpus / f"{name}.stderr").read_bytes()
+
+
+def _regenerate():
+    import tempfile
+
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for corpus, directory in CORPORA.items():
+            csv_path = Path(tmp) / f"{corpus}.csv"
+            assert run_cli("convert", directory, "--out", csv_path).returncode == 0
+            (GOLDEN / corpus).mkdir(parents=True, exist_ok=True)
+            for name, argv in CASES + ERROR_CASES:
+                proc = run_cli(*_argv(argv, corpus, csv_path))
+                codes[f"{corpus}/{name}"] = proc.returncode
+                (GOLDEN / corpus / f"{name}.stdout").write_bytes(proc.stdout)
+                if name in dict(ERROR_CASES):
+                    (GOLDEN / corpus / f"{name}.stderr").write_bytes(proc.stderr)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _regenerate()
