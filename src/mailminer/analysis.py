@@ -12,8 +12,6 @@ from .tabular import DuplicateProfile, format_csv_row
 
 UNKNOWN_SENDER = "(unknown)"
 
-FORMATS = ("text", "csv", "svg-bars")
-
 
 @dataclass(frozen=True)
 class ClusterSummary:
@@ -78,51 +76,36 @@ def top_senders(records, n):
 # Rendering
 
 
-def _bar_entries(report):
+def _views(report):
+    """A report as (text lines, CSV rows, bar-chart entries)."""
     if isinstance(report, ClusterSummary):
-        return [(str(i), s) for i, s in enumerate(report.sizes)]
+        rows = list(zip(range(len(report.sizes)), report.sizes, report.percentages))
+        return (
+            [f"k={report.chosen_k}", f"Iterations: {report.iterations}"]
+            + [f"{i}  {size} ({pct:3d}%)" for i, size, pct in rows],
+            [("cluster", "size", "percent")] + rows,
+            [(str(i), size) for i, size, _ in rows],
+        )
     if isinstance(report, DuplicateProfile):
-        return [("different", report.n_different), ("identical", report.n_identical)]
+        return (
+            [
+                "projection: " + ",".join(report.projection),
+                f"different: {report.n_different}, identical: {report.n_identical}",
+            ],
+            [
+                ("projection", "different", "identical"),
+                (";".join(report.projection), report.n_different, report.n_identical),
+            ],
+            [("different", report.n_different), ("identical", report.n_identical)],
+        )
     if isinstance(report, SenderReport):
-        return [(e.address, e.count) for e in report.entries]
-    raise TypeError(f"cannot render {type(report).__name__}")
-
-
-def _text_lines(report):
-    if isinstance(report, ClusterSummary):
-        lines = [f"k={report.chosen_k}", f"Iterations: {report.iterations}"]
-        for i, (size, pct) in enumerate(zip(report.sizes, report.percentages)):
-            lines.append(f"{i}  {size} ({pct:3d}%)")
-        return lines
-    if isinstance(report, DuplicateProfile):
-        return [
-            "projection: " + ",".join(report.projection),
-            f"different: {report.n_different}, identical: {report.n_identical}",
-        ]
-    if isinstance(report, SenderReport):
-        lines = ["sender count share"]
-        for e in report.entries:
-            lines.append(f"{e.address} {e.count} {e.share:.4f}")
-        return lines
-    raise TypeError(f"cannot render {type(report).__name__}")
-
-
-def _csv_lines(report):
-    if isinstance(report, ClusterSummary):
-        lines = [format_csv_row(["cluster", "size", "percent"])]
-        for i, (size, pct) in enumerate(zip(report.sizes, report.percentages)):
-            lines.append(format_csv_row([i, size, pct]))
-        return lines
-    if isinstance(report, DuplicateProfile):
-        return [
-            format_csv_row(["projection", "different", "identical"]),
-            format_csv_row([";".join(report.projection), report.n_different, report.n_identical]),
-        ]
-    if isinstance(report, SenderReport):
-        lines = [format_csv_row(["sender", "count", "share"])]
-        for e in report.entries:
-            lines.append(format_csv_row([e.address, e.count, f"{e.share:.6f}"]))
-        return lines
+        return (
+            ["sender count share"]
+            + [f"{e.address} {e.count} {e.share:.4f}" for e in report.entries],
+            [("sender", "count", "share")]
+            + [(e.address, e.count, f"{e.share:.6f}") for e in report.entries],
+            [(e.address, e.count) for e in report.entries],
+        )
     raise TypeError(f"cannot render {type(report).__name__}")
 
 
@@ -157,14 +140,15 @@ def _svg_bars(entries):
 
 def render_report(report, fmt, sink):
     """Render a summary/profile/report as text, CSV or an SVG bar chart."""
-    if fmt == "text":
-        lines = _text_lines(report)
-    elif fmt == "csv":
-        lines = _csv_lines(report)
-    elif fmt == "svg-bars":
-        lines = _svg_bars(_bar_entries(report))
-    else:
+    if fmt not in ("text", "csv", "svg"):
         raise UnsupportedFormat(f"unknown report format {fmt!r}")
+    text, rows, bars = _views(report)
+    if fmt == "text":
+        lines = text
+    elif fmt == "csv":
+        lines = [format_csv_row(row) for row in rows]
+    else:
+        lines = _svg_bars(bars)
     payload = "\n".join(lines) + "\n"
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8", newline="") as f:

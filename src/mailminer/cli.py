@@ -47,8 +47,6 @@ log = logging.getLogger("mailminer")
 # Kind hints applied whenever a CSV carries the canonical email columns.
 CANONICAL_HINTS = {"Date": "numeric", "HTML": ("nominal", ("yes", "no"))}
 
-_REPORT_FORMATS = {"text": "text", "csv": "csv", "svg": "svg-bars"}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the CLI contract says 1
@@ -114,17 +112,12 @@ def cmd_cluster(args):
         return _usage("--max-iter must be >= 1")
     ds = read_csv(args.csv, kind_hints=CANONICAL_HINTS, relation_name="emails")
     if args.k is not None:
-        cfg = KMeansConfig(
-            k=args.k, fixed_k=True, max_iterations=args.max_iter, seed=args.seed
-        )
-        model = kmeans(ds, cfg)
+        model = kmeans(ds, KMeansConfig(k=args.k, max_iterations=args.max_iter, seed=args.seed))
     else:
-        cfg = KMeansConfig(
-            fixed_k=False, k_max=args.kmax, max_iterations=args.max_iter, seed=args.seed
-        )
+        cfg = KMeansConfig(k_max=args.kmax, max_iterations=args.max_iter, seed=args.seed)
         _, model = select_k(ds, cfg)
     summary = summarize(model, ds)
-    _emit(lambda f: render_report(summary, _REPORT_FORMATS[args.report], f), args.out)
+    _emit(lambda f: render_report(summary, args.report, f), args.out)
     return EXIT_OK
 
 
@@ -133,10 +126,7 @@ def cmd_dupes(args):
     if not attrs:
         return _usage("--attrs must name at least one attribute")
     ds = read_csv(args.csv, kind_hints=CANONICAL_HINTS, relation_name="emails")
-    try:
-        profile = duplicate_profile(ds, attrs)
-    except UnknownAttribute as exc:
-        return _usage(str(exc))
+    profile = duplicate_profile(ds, attrs)
     _emit(lambda f: render_report(profile, "text", f), args.out)
     return EXIT_OK
 
@@ -169,19 +159,16 @@ def cmd_filter(args):
         if name not in CANONICAL_ATTRIBUTES:
             hints[name] = "numeric"
     ds = read_csv(args.csv, kind_hints=hints, relation_name="emails")
-    try:
-        if args.remove:
-            out = filter_remove(ds, _split_attrs(args.remove))
-        elif args.sample is not None:
-            if not 0 < args.sample <= 1:
-                return _usage("--sample fraction must be in (0, 1]")
-            out = filter_sample(ds, args.sample, args.seed)
-        elif args.shuffle:
-            out = filter_randomize(ds, args.seed)
-        else:
-            out = filter_discretize(ds, *discretize_target)
-    except (UnknownAttribute, EmptyResultSchema, NotNumeric) as exc:
-        return _usage(str(exc))
+    if args.remove:
+        out = filter_remove(ds, _split_attrs(args.remove))
+    elif args.sample is not None:
+        if not 0 < args.sample <= 1:
+            return _usage("--sample fraction must be in (0, 1]")
+        out = filter_sample(ds, args.sample, args.seed)
+    elif args.shuffle:
+        out = filter_randomize(ds, args.seed)
+    else:
+        out = filter_discretize(ds, *discretize_target)
     _emit(lambda f: write_csv(out, f), args.out)
     return EXIT_OK
 
@@ -204,7 +191,7 @@ def build_parser():
     p.add_argument("--kmax", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=100, dest="max_iter")
-    p.add_argument("--report", choices=tuple(_REPORT_FORMATS), default="text")
+    p.add_argument("--report", choices=("text", "csv", "svg"), default="text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_cluster)
 

@@ -19,7 +19,6 @@ from .rng import Lcg
 @dataclass(frozen=True)
 class KMeansConfig:
     k: int = 2
-    fixed_k: bool = True
     k_max: int = 2
     max_iterations: int = 100
     seed: int = 0
@@ -224,13 +223,7 @@ def select_k(ds, cfg):
     best_score = None
     for k in range(2, cfg.k_max + 1):
         model = kmeans(
-            ds,
-            KMeansConfig(
-                k=k,
-                fixed_k=True,
-                max_iterations=cfg.max_iterations,
-                seed=cfg.seed,
-            ),
+            ds, KMeansConfig(k=k, max_iterations=cfg.max_iterations, seed=cfg.seed)
         )
         score = silhouette_mean(ds, model)
         if best_score is None or score > best_score:

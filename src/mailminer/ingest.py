@@ -33,11 +33,11 @@ _CHARSETS = {
 
 @dataclass(frozen=True)
 class RawEmail:
-    """One message split into unfolded headers and MIME body parts."""
+    """One message split into unfolded headers and MIME body part types."""
 
     source_path: str | None
     headers: tuple  # ((name, value), ...) in order of appearance
-    body_parts: tuple  # ((content_type, payload_bytes), ...)
+    body_parts: tuple  # (content_type, ...) of the leaf MIME parts
 
     def get(self, name):
         """First header value with the given name, case-insensitive."""
@@ -113,7 +113,7 @@ def _boundary(ct_value):
 
 
 def _split_body(body_text, ct_value):
-    """Body text to a list of (content_type, payload_bytes). Multipart
+    """Body text to the list of its leaf parts' content types. Multipart
     bodies are flattened recursively; everything else is one part."""
     ctype = _main_type(ct_value) if ct_value else "text/plain"
     if ct_value and ctype.startswith("multipart/"):
@@ -139,11 +139,10 @@ def _split_body(body_text, ct_value):
                 if part_ct and _main_type(part_ct).startswith("multipart/"):
                     parts.extend(_split_body(part_body, part_ct))
                 else:
-                    part_type = _main_type(part_ct) if part_ct else "text/plain"
-                    parts.append((part_type, part_body.encode("latin-1")))
+                    parts.append(_main_type(part_ct) if part_ct else "text/plain")
             if parts:
                 return parts
-    return [(ctype, body_text.encode("latin-1"))]
+    return [ctype]
 
 
 def parse_eml(data, source_path=None):
@@ -270,7 +269,7 @@ def extract_record(raw):
 
     ct_value = raw.get("Content-Type")
     has_html = bool(ct_value and _main_type(ct_value) == "text/html")
-    has_html = has_html or any(ct == "text/html" for ct, _ in raw.body_parts)
+    has_html = has_html or "text/html" in raw.body_parts
 
     return EmailRecord(date, message_id, tuple(cc), from_addr, subject, has_html)
 

@@ -6,8 +6,9 @@ immutable; every filter returns a fresh copy.
 """
 
 import math
+import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
@@ -164,77 +165,46 @@ def write_csv(ds, sink):
             f.close()
 
 
+# One field per match: an optional quoted part ("" escapes a quote; an
+# unterminated quote runs to the end of the text), any text after it, and
+# the separator that ends the field. A bare CR is field text, not a break.
+_CSV_FIELD = re.compile(
+    r'(?:"((?:[^"]+|"")*)"?|)([^,\r\n]*(?:\r(?!\n)[^,\r\n]*)*)(,|\r?\n|\Z)'
+)
+
+
 def _parse_csv_text(text):
     """RFC 4180 parse to rows of (value, was_quoted). Accepts CRLF."""
-    rows = []
-    fields = []
-    chars = []
-    quoted = False
-    in_quotes = False
-    i = 0
-    n = len(text)
-    started = False
-
-    def end_field():
-        nonlocal chars, quoted, started
-        fields.append(("".join(chars), quoted))
-        chars = []
-        quoted = False
-
-    def end_row():
-        nonlocal fields, started
-        rows.append(fields)
-        fields = []
-        started = False
-
-    while i < n:
-        c = text[i]
-        if in_quotes:
-            if c == '"':
-                if i + 1 < n and text[i + 1] == '"':
-                    chars.append('"')
-                    i += 2
-                    continue
-                in_quotes = False
-                i += 1
-            else:
-                chars.append(c)
-                i += 1
+    rows, fields, pos = [], [], 0
+    while pos < len(text) or fields:
+        m = _CSV_FIELD.match(text, pos)
+        quoted, rest, sep = m.groups()
+        if quoted is None:
+            fields.append((rest, False))
         else:
-            if c == '"' and not chars:
-                in_quotes = True
-                quoted = True
-                started = True
-                i += 1
-            elif c == ",":
-                end_field()
-                started = True
-                i += 1
-            elif c == "\r" and i + 1 < n and text[i + 1] == "\n":
-                end_field()
-                end_row()
-                i += 2
-            elif c == "\n":
-                end_field()
-                end_row()
-                i += 1
-            else:
-                chars.append(c)
-                started = True
-                i += 1
-    if chars or quoted or started or fields:
-        end_field()
-        end_row()
+            fields.append((quoted.replace('""', '"') + rest, True))
+        pos = m.end()
+        if sep != ",":
+            rows.append(fields)
+            fields = []
     return rows
 
 
-def _typed_cell(value, was_quoted, hint, col_name):
+def _typed_cell(value, was_quoted, hint, col_name, lineno):
     if value == "?" and not was_quoted:
         return MISSING
     if hint in (None, "text"):
         return value
     if hint in ("numeric", "date"):
-        return float(value)
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise MalformedInput(
+                f"line {lineno}, column {col_name!r}: not a finite number: {value!r}"
+            )
+        return number
     if isinstance(hint, (tuple, list)) and len(hint) == 2 and hint[0] == "nominal":
         if value not in hint[1]:
             raise ValueError(f"value {value!r} outside nominal domain of {col_name}")
@@ -271,14 +241,17 @@ def read_csv(source, kind_hints=None, relation_name="data"):
             schema.append(AttributeSpec(name, "text"))
 
     rows = []
-    for lineno, fields in enumerate(parsed[1:], start=2):
+    lineno = 1
+    for prev, fields in zip(parsed, parsed[1:]):
+        # the line this record starts on; quoted fields may hold line breaks
+        lineno += 1 + sum(v.count("\n") for v, quoted in prev if quoted)
         if len(fields) != len(header):
             raise RaggedRow(
                 f"line {lineno}: {len(fields)} fields, header has {len(header)}"
             )
         rows.append(
             [
-                _typed_cell(v, q, hints.get(name), name)
+                _typed_cell(v, q, hints.get(name), name, lineno)
                 for (v, q), name in zip(fields, header)
             ]
         )
@@ -393,23 +366,17 @@ def filter_discretize(ds, name, n_bins):
         raise ValueError("n_bins must be >= 1")
     labels = tuple(f"b{i + 1}" for i in range(n_bins))
     values = [row[j] for row in ds.rows if row[j] is not MISSING]
-
-    def bin_label(x):
-        if not values:
-            return MISSING
-        lo, hi = min(values), max(values)
-        width = (hi - lo) / n_bins
-        if width == 0:
-            return labels[0]
-        return labels[min(int((x - lo) / width), n_bins - 1)]
+    lo, hi = (min(values), max(values)) if values else (0.0, 0.0)
+    width = (hi - lo) / n_bins
 
     schema = list(ds.schema)
     schema[j] = AttributeSpec(name, "nominal", labels)
     rows = []
     for row in ds.rows:
         new_row = list(row)
-        if new_row[j] is not MISSING:
-            new_row[j] = bin_label(new_row[j])
+        x = new_row[j]
+        if x is not MISSING:
+            new_row[j] = labels[0] if width == 0 else labels[min(int((x - lo) / width), n_bins - 1)]
         rows.append(new_row)
     return Dataset(schema, rows, ds.relation_name)
 

@@ -1,5 +1,6 @@
-"""Test-side oracles: an independent ARFF well-formedness check, a naive
-SSE recomputation, a naive silhouette, and a random dataset generator."""
+"""Test-side oracles: an independent ARFF well-formedness check, a
+per-character CSV tokenizer, a naive SSE recomputation, a naive
+silhouette, and a random dataset generator."""
 
 import math
 import random
@@ -93,6 +94,75 @@ def validate_arff(text):
         assert len(fields) == n_attrs, (
             f"row has {len(fields)} fields, expected {n_attrs}: {row_line!r}"
         )
+
+
+# ---------------------------------------------------------------------------
+# CSV tokenizer oracle
+
+
+def oracle_parse_csv_text(text):
+    """Per-character RFC 4180 parse to rows of (value, was_quoted); the
+    reference for mailminer.tabular._parse_csv_text."""
+    rows = []
+    fields = []
+    chars = []
+    quoted = False
+    in_quotes = False
+    i = 0
+    n = len(text)
+    started = False
+
+    def end_field():
+        nonlocal chars, quoted, started
+        fields.append(("".join(chars), quoted))
+        chars = []
+        quoted = False
+
+    def end_row():
+        nonlocal fields, started
+        rows.append(fields)
+        fields = []
+        started = False
+
+    while i < n:
+        c = text[i]
+        if in_quotes:
+            if c == '"':
+                if i + 1 < n and text[i + 1] == '"':
+                    chars.append('"')
+                    i += 2
+                    continue
+                in_quotes = False
+                i += 1
+            else:
+                chars.append(c)
+                i += 1
+        else:
+            if c == '"' and not chars:
+                in_quotes = True
+                quoted = True
+                started = True
+                i += 1
+            elif c == ",":
+                end_field()
+                started = True
+                i += 1
+            elif c == "\r" and i + 1 < n and text[i + 1] == "\n":
+                end_field()
+                end_row()
+                i += 2
+            elif c == "\n":
+                end_field()
+                end_row()
+                i += 1
+            else:
+                chars.append(c)
+                started = True
+                i += 1
+    if chars or quoted or started or fields:
+        end_field()
+        end_row()
+    return rows
 
 
 # ---------------------------------------------------------------------------

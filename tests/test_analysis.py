@@ -135,7 +135,7 @@ def test_render_svg_one_rect_per_entry():
         (top_senders([_rec("a"), _rec("b<c")], 2), 2),
         (SenderReport((), 0), 0),
     ]:
-        text = _render(report, "svg-bars")
+        text = _render(report, "svg")
         root = ET.fromstring(text)  # XML well-formedness check
         rects = root.findall(".//{http://www.w3.org/2000/svg}rect")
         assert len(rects) == expected

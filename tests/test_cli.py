@@ -74,6 +74,14 @@ def test_cluster_ragged_csv_is_data_error(tmp_path):
     assert run_cli("cluster", bad, "--k", "1").returncode == 2
 
 
+def test_cluster_nan_cell_is_data_error(tmp_path):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("Date,From\n1.0,a@x\nnan,b@x\n")
+    proc = run_cli("cluster", bad, "--k", "2")
+    assert proc.returncode == 2
+    assert b"line 3, column 'Date'" in proc.stderr
+
+
 def test_cluster_auto_k(emails_csv):
     proc = run_cli("cluster", emails_csv, "--auto-k", "--kmax", "3", "--seed", "42")
     assert proc.returncode == 0

@@ -87,14 +87,14 @@ def test_empty_dataset_and_too_few_rows():
     with pytest.raises(TooFewRows):
         kmeans(_numeric_ds([1, 2]), KMeansConfig(k=3))
     with pytest.raises(TooFewRows):
-        select_k(_numeric_ds([1]), KMeansConfig(fixed_k=False, k_max=2))
+        select_k(_numeric_ds([1]), KMeansConfig(k_max=2))
     with pytest.raises(TooFewRows):
-        select_k(_numeric_ds([1, 2]), KMeansConfig(fixed_k=False, k_max=3))
+        select_k(_numeric_ds([1, 2]), KMeansConfig(k_max=3))
 
 
 def test_select_k_two_separated_groups():
     ds = _numeric_ds([0, 1, 100, 101])
-    cfg = KMeansConfig(fixed_k=False, k_max=3, seed=1)
+    cfg = KMeansConfig(k_max=3, seed=1)
     chosen, model = select_k(ds, cfg)
     # oracle: exhaustive silhouette comparison over k in [2, 3]
     ranges = attribute_ranges(ds)
@@ -109,7 +109,7 @@ def test_select_k_two_separated_groups():
 
 def test_select_k_all_identical_rows():
     ds = _numeric_ds([5, 5, 5, 5])
-    chosen, model = select_k(ds, KMeansConfig(fixed_k=False, k_max=2, seed=3))
+    chosen, model = select_k(ds, KMeansConfig(k_max=2, seed=3))
     assert chosen == 2
     assert model.sse == 0.0
     assert silhouette_mean(ds, model) == 0.0
@@ -180,7 +180,7 @@ def test_select_k_scale_invariance():
             for row in ds.rows
         ]
         scaled = Dataset(list(ds.schema), scaled_rows, ds.relation_name)
-        cfg = KMeansConfig(fixed_k=False, k_max=min(4, len(ds.rows)), seed=8)
+        cfg = KMeansConfig(k_max=min(4, len(ds.rows)), seed=8)
         k1, m1 = select_k(ds, cfg)
         k2, m2 = select_k(scaled, cfg)
         assert k1 == k2

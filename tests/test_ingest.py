@@ -23,10 +23,7 @@ def _record(raw_bytes):
 def test_parse_minimal():
     raw = parse_eml(b"From: a@x.com\r\nSubject: hi\r\n\r\nbody")
     assert raw.headers == (("From", "a@x.com"), ("Subject", "hi"))
-    assert len(raw.body_parts) == 1
-    ctype, payload = raw.body_parts[0]
-    assert ctype == "text/plain"
-    assert payload == b"body"
+    assert raw.body_parts == ("text/plain",)
 
 
 def test_header_unfolding_joins_with_single_space():
@@ -37,13 +34,13 @@ def test_header_unfolding_joins_with_single_space():
 def test_lf_only_line_endings():
     raw = parse_eml(b"From: a@x.com\nSubject: hi\n\nbody\n")
     assert raw.get("From") == "a@x.com"
-    assert raw.body_parts[0][1] == b"body\n"
+    assert raw.body_parts == ("text/plain",)
 
 
 def test_multipart_fixture_has_two_parts():
     data = (FIXTURE_CORPUS / "01_win_big_1.eml").read_bytes()
     raw = parse_eml(data)
-    assert [ct for ct, _ in raw.body_parts] == ["text/plain", "text/html"]
+    assert raw.body_parts == ("text/plain", "text/html")
 
 
 def test_malformed_input_raises():

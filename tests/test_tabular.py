@@ -3,6 +3,7 @@ import io
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mailminer import (
     CANONICAL_ATTRIBUTES,
@@ -10,6 +11,7 @@ from mailminer import (
     AttributeSpec,
     Dataset,
     EmptyResultSchema,
+    MalformedInput,
     NotNumeric,
     RaggedRow,
     UnknownAttribute,
@@ -24,7 +26,9 @@ from mailminer import (
     write_csv,
 )
 
-from helpers import hints_for, random_dataset, validate_arff
+from mailminer.tabular import _parse_csv_text
+
+from helpers import hints_for, oracle_parse_csv_text, random_dataset, validate_arff
 
 
 def _csv_text(ds):
@@ -95,6 +99,18 @@ def test_csv_roundtrip_fixture(corpus_dataset):
 def test_csv_accepts_crlf():
     back = read_csv(io.StringIO("a,b\r\n1,x\r\n"), {"a": "numeric"})
     assert back.rows == [[1.0, "x"]]
+
+
+@given(st.text(alphabet='ab,"\r\n? \u00e9'))
+def test_csv_tokenizer_matches_per_character_oracle(text):
+    assert _parse_csv_text(text) == oracle_parse_csv_text(text)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "abc", ""])
+def test_csv_bad_numeric_cell_names_line_and_column(cell):
+    text = f'x,y\n1.5,"a\nb"\n{cell},b\n'
+    with pytest.raises(MalformedInput, match=r"line 4, column 'x'"):
+        read_csv(io.StringIO(text), {"x": "numeric"})
 
 
 def test_csv_ragged_row():
