@@ -232,12 +232,12 @@ def main(argv=None):
         return args.func(args)
     except (UnknownAttribute, EmptyResultSchema, NotNumeric) as exc:
         return _usage(str(exc))
-    except (RaggedRow, TooFewRows, EmptyDataset, MalformedInput, ValueError) as exc:
+    except (RaggedRow, TooFewRows, EmptyDataset, MalformedInput) as exc:
         print(f"mailminer: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DirectoryUnreadable as exc:
         print(f"mailminer: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # the latter: stdout cannot encode the output
         print(f"mailminer: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

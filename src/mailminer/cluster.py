@@ -1,15 +1,17 @@
 """Mixed-type k-means with a fixed-k mode and silhouette-based auto-k.
 
-Distance between a row and a centroid is the Euclidean combination of
-per-attribute differences: numeric/date attributes are min-max
-normalized over the dataset (|x - c| / range, 0 for a constant column),
-nominal/text attributes contribute 0 on match and 1 on mismatch, and any
-missing side contributes 1. Centroids carry the arithmetic mean for
-numeric/date columns and the modal value for nominal/text columns.
+`attribute_ranges` is the one place that reads the column kinds: each
+numeric/date column gets its range, each nominal/text column None.
+Distance is the Euclidean combination of per-attribute differences:
+|x - c| / range for numeric/date cells (0 for a constant column), 0 on
+match and 1 on mismatch for the rest, and 1 if either side is missing.
+Centroids carry the mean of a ranged column and the mode of the rest.
+The mean silhouette streams per-row, per-cluster distance sums: O(n^2)
+time and O(n*k) memory.
 """
 
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import MISSING, ArityMismatch, EmptyDataset, TooFewRows
@@ -38,65 +40,60 @@ class ClusterModel:
 
 
 def attribute_ranges(ds):
-    """(min, max) per numeric/date column over non-missing cells; None
-    for other kinds or all-missing columns."""
+    """Per column: max - min over the non-missing cells of a numeric/date
+    column (0.0 when there are none), or None for a nominal/text column."""
     ranges = []
     for j, spec in enumerate(ds.schema):
-        if spec.kind not in ("numeric", "date"):
+        if spec.kind in ("numeric", "date"):
+            values = [row[j] for row in ds.rows if row[j] is not MISSING]
+            ranges.append(max(values) - min(values) if values else 0.0)
+        else:
             ranges.append(None)
-            continue
-        values = [row[j] for row in ds.rows if row[j] is not MISSING]
-        ranges.append((min(values), max(values)) if values else None)
     return ranges
 
 
-def distance(row, centroid, schema, ranges):
-    if len(row) != len(schema) or len(centroid) != len(schema):
+def distance(row, other, ranges):
+    if len(row) != len(ranges) or len(other) != len(ranges):
         raise ArityMismatch(
-            f"row/centroid arity {len(row)}/{len(centroid)} vs schema {len(schema)}"
+            f"row/centroid arity {len(row)}/{len(other)} vs schema {len(ranges)}"
         )
     total = 0.0
-    for x, c, spec, rng in zip(row, centroid, schema, ranges):
+    for x, c, rng in zip(row, other, ranges):
         if x is MISSING or c is MISSING:
             d = 1.0
-        elif spec.kind in ("numeric", "date"):
-            if rng is None or rng[1] == rng[0]:
-                d = 0.0
-            else:
-                d = abs(x - c) / (rng[1] - rng[0])
-        else:
+        elif rng is None:
             d = 0.0 if x == c else 1.0
+        else:
+            d = abs(x - c) / rng if rng else 0.0
         total += d * d
     return math.sqrt(total)
 
 
-def _centroid(schema, rows, members):
+def _centroid(rows, members, ranges):
     """Cluster representative; members are row indices in dataset order."""
     cells = []
-    for j, spec in enumerate(schema):
-        present = [(i, rows[i][j]) for i in members if rows[i][j] is not MISSING]
+    for j, rng in enumerate(ranges):
+        present = [rows[i][j] for i in members if rows[i][j] is not MISSING]
         if not present:
             cells.append(MISSING)
-        elif spec.kind in ("numeric", "date"):
-            cells.append(sum(v for _, v in present) / len(present))
+        elif rng is not None:
+            cells.append(sum(present) / len(present))
         else:
-            counts = {}
-            first_seen = {}
-            for i, v in present:
-                counts[v] = counts.get(v, 0) + 1
-                first_seen.setdefault(v, i)
-            best = max(counts, key=lambda v: (counts[v], -first_seen[v]))
-            cells.append(best)
+            # Counter keeps first-seen order and max() keeps the first of
+            # equal counts, so ties go to the value seen first
+            counts = Counter(present)
+            cells.append(max(counts, key=counts.get))
     return cells
 
 
-def _nearest(row, centroids, schema, ranges):
-    best, best_d = 0, distance(row, centroids[0], schema, ranges)
+def _nearest(row, centroids, ranges):
+    """(index, distance) of the closest centroid, ties to the lowest index."""
+    best, best_d = 0, distance(row, centroids[0], ranges)
     for ci in range(1, len(centroids)):
-        d = distance(row, centroids[ci], schema, ranges)
+        d = distance(row, centroids[ci], ranges)
         if d < best_d:
             best, best_d = ci, d
-    return best
+    return best, best_d
 
 
 def kmeans(ds, cfg, initial_centroids=None):
@@ -134,28 +131,23 @@ def kmeans(ds, cfg, initial_centroids=None):
     first_pass_sse = 0.0
     while iterations < cfg.max_iterations:
         iterations += 1
-        new_assignment = [_nearest(row, centroids, schema=ds.schema, ranges=ranges) for row in rows]
+        nearest = [_nearest(row, centroids, ranges) for row in rows]
+        new_assignment = [ci for ci, _ in nearest]
         if iterations == 1:
-            first_pass_sse = sum(
-                distance(rows[i], centroids[new_assignment[i]], ds.schema, ranges) ** 2
-                for i in range(n)
-            )
+            first_pass_sse = sum(d ** 2 for _, d in nearest)
         if new_assignment == assignment:
             break
         assignment = new_assignment
-        members = defaultdict(list)
+        members = [[] for _ in range(k)]
         for i, ci in enumerate(assignment):
             members[ci].append(i)
         for ci in range(k):
             if members[ci]:
-                centroids[ci] = _centroid(ds.schema, rows, members[ci])
+                centroids[ci] = _centroid(rows, members[ci], ranges)
 
-    sizes = [0] * k
-    for ci in assignment:
-        sizes[ci] += 1
+    sizes = [assignment.count(ci) for ci in range(k)]
     total_sse = sum(
-        distance(rows[i], centroids[assignment[i]], ds.schema, ranges) ** 2
-        for i in range(n)
+        distance(row, centroids[ci], ranges) ** 2 for row, ci in zip(rows, assignment)
     )
     return ClusterModel(centroids, assignment, iterations, total_sse, sizes, k, first_pass_sse)
 
@@ -164,7 +156,7 @@ def sse(ds, model):
     """Within-cluster sum of squared distances, recomputed from scratch."""
     ranges = attribute_ranges(ds)
     return sum(
-        distance(row, model.centroids[ci], ds.schema, ranges) ** 2
+        distance(row, model.centroids[ci], ranges) ** 2
         for row, ci in zip(ds.rows, model.assignment)
     )
 
@@ -173,37 +165,34 @@ def silhouette_mean(ds, model):
     """Mean silhouette coefficient of a fitted model.
 
     Rows in singleton clusters score 0, as does any row whose cohesion
-    and separation are both 0.
+    and separation are both 0. One pass over the pairs i < j adds each
+    distance to both rows' per-cluster sums: O(n^2) distances, O(n*k)
+    memory. Every sum takes its terms in ascending row order.
     """
     rows = ds.rows
     n = len(rows)
+    labels = model.assignment
     ranges = attribute_ranges(ds)
-    members = defaultdict(list)
-    for i, ci in enumerate(model.assignment):
-        members[ci].append(i)
-    dmat = [[0.0] * n for _ in range(n)]
+    sizes = [0] * (max(labels, default=-1) + 1)
+    for ci in labels:
+        sizes[ci] += 1
+    sums = [[0.0] * len(sizes) for _ in range(n)]
     for i in range(n):
+        row, row_sums, ci = rows[i], sums[i], labels[i]
         for j in range(i + 1, n):
-            d = distance(rows[i], rows[j], ds.schema, ranges)
-            dmat[i][j] = d
-            dmat[j][i] = d
+            d = distance(row, rows[j], ranges)
+            row_sums[labels[j]] += d
+            sums[j][ci] += d
 
     total = 0.0
-    for i in range(n):
-        ci = model.assignment[i]
-        own = members[ci]
-        if len(own) <= 1:
+    for row_sums, ci in zip(sums, labels):
+        if sizes[ci] <= 1:
             continue
-        a = sum(dmat[i][j] for j in own if j != i) / (len(own) - 1)
-        b = None
-        for cj, other in members.items():
-            if cj == ci or not other:
-                continue
-            mean_d = sum(dmat[i][j] for j in other) / len(other)
-            if b is None or mean_d < b:
-                b = mean_d
-        if b is None:
+        a = row_sums[ci] / (sizes[ci] - 1)
+        means = [s / m for cj, (s, m) in enumerate(zip(row_sums, sizes)) if m and cj != ci]
+        if not means:
             continue
+        b = min(means)
         denom = max(a, b)
         if denom > 0:
             total += (b - a) / denom

@@ -9,6 +9,7 @@ missing marker instead of failing the whole file.
 import base64
 import binascii
 import email.utils
+import os
 import re
 from dataclasses import dataclass
 from datetime import timezone
@@ -291,7 +292,7 @@ def scan_corpus(directory):
         ]
     except OSError as exc:
         raise DirectoryUnreadable(f"cannot scan {directory}: {exc}") from exc
-    files.sort(key=lambda p: str(p.relative_to(root)).encode("utf-8"))
+    files.sort(key=lambda p: os.fsencode(p.relative_to(root)))
 
     records, skipped = [], []
     for path in files:

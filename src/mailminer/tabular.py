@@ -207,7 +207,9 @@ def _typed_cell(value, was_quoted, hint, col_name, lineno):
         return number
     if isinstance(hint, (tuple, list)) and len(hint) == 2 and hint[0] == "nominal":
         if value not in hint[1]:
-            raise ValueError(f"value {value!r} outside nominal domain of {col_name}")
+            raise MalformedInput(
+                f"line {lineno}, column {col_name!r}: not in the nominal domain: {value!r}"
+            )
         return value
     raise ValueError(f"unknown kind hint for {col_name}: {hint!r}")
 
@@ -220,8 +222,14 @@ def read_csv(source, kind_hints=None, relation_name="data"):
     the original schema, write_csv -> read_csv is an identity.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as f:
-            text = f.read()
+        with open(source, "rb") as f:
+            data = f.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise MalformedInput(f"line {line}: not valid UTF-8") from None
+        del data  # not kept alive through the parse
     else:
         text = source.read()
     parsed = _parse_csv_text(text)

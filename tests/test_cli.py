@@ -43,6 +43,13 @@ def test_convert_unreadable_directory_exits_3(tmp_path):
     assert proc.returncode == 3
 
 
+def test_convert_to_stdout_that_cannot_encode_exits_3(tmp_path):
+    (tmp_path / "a.eml").write_bytes(b"From: a@x.test\r\nSubject: =?utf-8?q?caf=C3=A9?=\r\n\r\n.")
+    proc = run_cli("convert", tmp_path, env_extra={"PYTHONIOENCODING": "ascii"})
+    assert proc.returncode == 3
+    assert b"I/O error" in proc.stderr
+
+
 def test_convert_arff_is_well_formed():
     proc = run_cli("convert", FIXTURE_CORPUS, "--format", "arff")
     assert proc.returncode == 0
@@ -80,6 +87,22 @@ def test_cluster_nan_cell_is_data_error(tmp_path):
     proc = run_cli("cluster", bad, "--k", "2")
     assert proc.returncode == 2
     assert b"line 3, column 'Date'" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "content,where",
+    [
+        (b"Date,HTML\n1.0,yes\n2.0,maybe\n", b"line 3, column 'HTML'"),
+        (b"Date,From\n1.0,a@x\n2.0,caf\xe9@x\n", b"line 3: not valid UTF-8"),
+    ],
+    ids=["nominal", "utf8"],
+)
+def test_cluster_bad_cell_names_its_line(tmp_path, content, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    proc = run_cli("cluster", bad, "--k", "2")
+    assert proc.returncode == 2
+    assert where in proc.stderr
 
 
 def test_cluster_auto_k(emails_csv):

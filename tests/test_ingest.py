@@ -1,8 +1,10 @@
 import base64
+import os
 import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mailminer import (
     MISSING,
@@ -13,7 +15,7 @@ from mailminer import (
     scan_corpus,
 )
 
-from conftest import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS
+from conftest import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, run_cli
 
 
 def _record(raw_bytes):
@@ -166,3 +168,46 @@ def test_scan_truncated_file_goes_to_skip_list(tmp_path):
     assert len(result.records) == 1
     assert len(result.skipped) == 1
     assert result.skipped[0].path == "bad.eml"
+
+
+def test_scan_non_utf8_file_name_in_byte_order(tmp_path):
+    root = os.fsencode(tmp_path)
+    try:
+        for name in (b"\xff_x.eml", b"a.eml"):
+            with open(os.path.join(root, name), "wb") as f:
+                f.write(b"From: " + name[:1].hex().encode() + b"@x.test\r\n\r\n.")
+    except OSError as exc:
+        pytest.skip(f"filesystem refuses a non-UTF-8 file name: {exc}")
+    froms = [r.from_addr for r in scan_corpus(tmp_path).records]
+    assert froms == ["61@x.test", "ff@x.test"]
+    proc = run_cli("convert", tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout.count(b"\n") == 3
+
+
+_HEADER_VALUES = st.text() | st.from_regex(
+    r"=\?(utf-8|latin1|x-unknown)\?[bBqQ]\?[^? ]*\?=", fullmatch=True
+)
+
+
+@given(st.binary())
+def test_parse_eml_raises_only_malformed_input(data):
+    try:
+        parse_eml(data)
+    except MalformedInput:
+        pass
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["Date", "From", "Cc", "Subject", "Message-ID", "Content-Type"]),
+            _HEADER_VALUES,
+        ),
+        min_size=1,
+    ),
+    st.binary(),
+)
+def test_extract_record_never_raises(headers, body):
+    head = "".join(f"{name}: {value}\r\n" for name, value in headers)
+    extract_record(parse_eml(head.encode("utf-8", "surrogatepass") + b"\r\n" + body))

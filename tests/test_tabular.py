@@ -106,11 +106,18 @@ def test_csv_tokenizer_matches_per_character_oracle(text):
     assert _parse_csv_text(text) == oracle_parse_csv_text(text)
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "abc", ""])
-def test_csv_bad_numeric_cell_names_line_and_column(cell):
-    text = f'x,y\n1.5,"a\nb"\n{cell},b\n'
+_BAD_CELLS = [("numeric", c) for c in ("nan", "inf", "-Infinity", "abc", "")] + [
+    (("nominal", ("yes", "no")), c) for c in ("maybe", "Yes", "")
+]
+
+
+@pytest.mark.parametrize(
+    "hint,cell", _BAD_CELLS, ids=[c if h == "numeric" else f"nominal-{c}" for h, c in _BAD_CELLS]
+)
+def test_csv_bad_numeric_cell_names_line_and_column(hint, cell):
+    text = f'y,x\n"a\nb",?\nb,{cell}\n'
     with pytest.raises(MalformedInput, match=r"line 4, column 'x'"):
-        read_csv(io.StringIO(text), {"x": "numeric"})
+        read_csv(io.StringIO(text), {"x": hint})
 
 
 def test_csv_ragged_row():
