@@ -38,6 +38,7 @@ from .cluster import (
     kmeans,
     select_k,
     silhouette_mean,
+    silhouette_means,
     sse,
 )
 from .analysis import (

@@ -7,9 +7,12 @@ MAILMINER_LOG (quiet, info, debug).
 """
 
 import argparse
+import contextlib
 import logging
 import os
+import stat
 import sys
+import tempfile
 
 from .analysis import render_report, summarize, top_senders
 from .cluster import KMeansConfig, kmeans, select_k
@@ -56,10 +59,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+
+
 def _setup_logging():
-    level = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("MAILMINER_LOG", "info"), logging.INFO
-    )
+    name = os.environ.get("MAILMINER_LOG", "info")
+    level = LOG_LEVELS.get(name)
+    if level is None:
+        print(
+            f"mailminer: warning: unknown MAILMINER_LOG={name!r}, using 'info'"
+            f" (accepted: {', '.join(LOG_LEVELS)})",
+            file=sys.stderr,
+        )
+        level = logging.INFO
     logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
 
 
@@ -69,12 +81,37 @@ def _usage(message):
 
 
 def _emit(write, out_path):
-    """Run `write(sink)` against --out or stdout."""
-    if out_path:
+    """Run `write(sink)` against --out or stdout.
+
+    A regular --out file is written to a temporary file in the same
+    directory and moved onto the target only when `write` returns, so a
+    failure part-way leaves the target as it was. A device or FIFO (say
+    /dev/null or /dev/stdout) is written in place: it cannot be replaced.
+    """
+    if not out_path:
+        write(sys.stdout)
+        return
+    try:
+        mode = os.stat(out_path).st_mode
+    except FileNotFoundError:  # a new file gets what open(out_path, "w") gives
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
         with open(out_path, "w", encoding="utf-8", newline="") as f:
             write(f)
-    else:
-        write(sys.stdout)
+        return
+    target = os.path.realpath(out_path)  # through a symlink, as open() writes
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as f:
+            os.chmod(tmp, stat.S_IMODE(mode))  # mkstemp made it 0600
+            write(f)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _scan(directory):

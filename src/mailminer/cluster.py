@@ -6,8 +6,9 @@ Distance is the Euclidean combination of per-attribute differences:
 |x - c| / range for numeric/date cells (0 for a constant column), 0 on
 match and 1 on mismatch for the rest, and 1 if either side is missing.
 Centroids carry the mean of a ranged column and the mode of the rest.
-The mean silhouette streams per-row, per-cluster distance sums: O(n^2)
-time and O(n*k) memory.
+Auto-k scores every candidate k in one pass over the row pairs, which
+streams each distance into per-row, per-cluster sums for all the models
+together: O(n^2) distances and O(n*sum(k)) memory.
 """
 
 import math
@@ -136,6 +137,8 @@ def kmeans(ds, cfg, initial_centroids=None):
         if iterations == 1:
             first_pass_sse = sum(d ** 2 for _, d in nearest)
         if new_assignment == assignment:
+            # the centroids have not moved since this pass
+            total_sse = sum(d ** 2 for _, d in nearest)
             break
         assignment = new_assignment
         members = [[] for _ in range(k)]
@@ -144,11 +147,13 @@ def kmeans(ds, cfg, initial_centroids=None):
         for ci in range(k):
             if members[ci]:
                 centroids[ci] = _centroid(rows, members[ci], ranges)
+    else:
+        # capped: the last update moved the centroids
+        total_sse = sum(
+            distance(row, centroids[ci], ranges) ** 2 for row, ci in zip(rows, assignment)
+        )
 
     sizes = [assignment.count(ci) for ci in range(k)]
-    total_sse = sum(
-        distance(row, centroids[ci], ranges) ** 2 for row, ci in zip(rows, assignment)
-    )
     return ClusterModel(centroids, assignment, iterations, total_sse, sizes, k, first_pass_sse)
 
 
@@ -162,28 +167,53 @@ def sse(ds, model):
 
 
 def silhouette_mean(ds, model):
-    """Mean silhouette coefficient of a fitted model.
+    """Mean silhouette coefficient of a fitted model."""
+    return silhouette_means(ds, [model])[0]
+
+
+def silhouette_means(ds, models):
+    """Mean silhouette coefficient of each model fitted to the rows of ds.
 
     Rows in singleton clusters score 0, as does any row whose cohesion
-    and separation are both 0. One pass over the pairs i < j adds each
-    distance to both rows' per-cluster sums: O(n^2) distances, O(n*k)
-    memory. Every sum takes its terms in ascending row order.
+    and separation are both 0. One pass over the pairs i < j computes
+    each distance once and adds it to both rows' per-cluster sums in
+    every model: O(n^2) distances, O(n * sum(k)) memory. Every sum takes
+    its terms in ascending row order, whatever the number of models.
     """
     rows = ds.rows
     n = len(rows)
-    labels = model.assignment
     ranges = attribute_ranges(ds)
+    # one row of sums per data row, model after model: model m's cluster
+    # c sits at spans[m][0] + c, and slots[i] holds row i's slot per model
+    spans, width = [], 0
+    for model in models:
+        start, width = width, width + max(model.assignment, default=-1) + 1
+        spans.append((start, width))
+    slots = [
+        tuple(start + model.assignment[i] for (start, _), model in zip(spans, models))
+        for i in range(n)
+    ]
+    sums = [[0.0] * width for _ in range(n)]
+    for i in range(n):
+        row, row_sums, row_slots = rows[i], sums[i], slots[i]
+        for j in range(i + 1, n):
+            d = distance(row, rows[j], ranges)
+            for slot in slots[j]:
+                row_sums[slot] += d
+            other_sums = sums[j]
+            for slot in row_slots:
+                other_sums[slot] += d
+    return [
+        _mean_silhouette(model.assignment, [row_sums[start:end] for row_sums in sums])
+        for model, (start, end) in zip(models, spans)
+    ]
+
+
+def _mean_silhouette(labels, sums):
+    """Mean silhouette from each row's distance sums to every cluster."""
     sizes = [0] * (max(labels, default=-1) + 1)
     for ci in labels:
         sizes[ci] += 1
-    sums = [[0.0] * len(sizes) for _ in range(n)]
-    for i in range(n):
-        row, row_sums, ci = rows[i], sums[i], labels[i]
-        for j in range(i + 1, n):
-            d = distance(row, rows[j], ranges)
-            row_sums[labels[j]] += d
-            sums[j][ci] += d
-
     total = 0.0
     for row_sums, ci in zip(sums, labels):
         if sizes[ci] <= 1:
@@ -196,7 +226,7 @@ def silhouette_mean(ds, model):
         denom = max(a, b)
         if denom > 0:
             total += (b - a) / denom
-    return total / n if n else 0.0
+    return total / len(labels) if labels else 0.0
 
 
 def select_k(ds, cfg):
@@ -207,14 +237,11 @@ def select_k(ds, cfg):
         raise TooFewRows("auto-k needs at least 2 rows")
     if cfg.k_max < 2 or cfg.k_max > n:
         raise TooFewRows(f"k_max={cfg.k_max} out of range [2, {n}]")
-    best_k = None
-    best_model = None
-    best_score = None
-    for k in range(2, cfg.k_max + 1):
-        model = kmeans(
-            ds, KMeansConfig(k=k, max_iterations=cfg.max_iterations, seed=cfg.seed)
-        )
-        score = silhouette_mean(ds, model)
-        if best_score is None or score > best_score:
-            best_k, best_model, best_score = k, model, score
-    return best_k, best_model
+    models = [
+        kmeans(ds, KMeansConfig(k=k, max_iterations=cfg.max_iterations, seed=cfg.seed))
+        for k in range(2, cfg.k_max + 1)
+    ]
+    scores = silhouette_means(ds, models)
+    # max() keeps the first of equal scores: ties go to the smallest k
+    best = max(range(len(models)), key=scores.__getitem__)
+    return models[best].chosen_k, models[best]

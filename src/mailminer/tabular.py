@@ -232,7 +232,8 @@ def read_csv(source, kind_hints=None, relation_name="data"):
         del data  # not kept alive through the parse
     else:
         text = source.read()
-    parsed = _parse_csv_text(text)
+    # a byte-order mark is not part of the first header name
+    parsed = _parse_csv_text(text.removeprefix("\ufeff"))
     if not parsed:
         raise MalformedInput("empty CSV input: no header row")
     header = [v for v, _ in parsed[0]]

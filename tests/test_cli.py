@@ -1,9 +1,13 @@
 import io
+import os
+import stat
+import threading
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from conftest import FIXTURE_CORPUS, run_cli
+from mailminer import cli
 from helpers import validate_arff
 
 
@@ -183,3 +187,66 @@ def test_quiet_log_suppresses_diagnostics():
     proc = run_cli("convert", FIXTURE_CORPUS, env_extra={"MAILMINER_LOG": "quiet"})
     assert proc.returncode == 0
     assert b"records:" not in proc.stderr
+
+
+def test_unknown_log_level_warns_and_falls_back_to_info():
+    plain = run_cli("convert", FIXTURE_CORPUS)
+    proc = run_cli("convert", FIXTURE_CORPUS, env_extra={"MAILMINER_LOG": "verbose"})
+    assert proc.returncode == 0
+    assert proc.stdout == plain.stdout
+    warning, rest = proc.stderr.decode().split("\n", 1)
+    assert "unknown MAILMINER_LOG='verbose'" in warning
+    assert "quiet, info, debug" in warning
+    assert rest == plain.stderr.decode()  # info-level diagnostics still shown
+
+
+@pytest.mark.parametrize("exc,code", [(OSError("disk full"), 3), (KeyboardInterrupt(), None)])
+def test_out_failure_part_way_keeps_old_target(emails_csv, tmp_path, monkeypatch, exc, code):
+    target = tmp_path / "out.csv"
+    target.write_text("old contents\n")
+
+    def failing_write(ds, sink):
+        sink.write("partial,")
+        sink.flush()
+        raise exc
+
+    monkeypatch.setattr(cli, "write_csv", failing_write)
+    argv = ["filter", str(emails_csv), "--shuffle", "--out", str(target)]
+    if code is None:
+        with pytest.raises(type(exc)):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == code
+    assert target.read_text() == "old contents\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_out_file_mode_matches_open(emails_csv, tmp_path):
+    fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+    existing.write_text("old\n")
+    existing.chmod(0o604)
+    old_mask = os.umask(0o027)
+    try:
+        for target in (fresh, existing):
+            assert cli.main(["filter", str(emails_csv), "--shuffle", "--out", str(target)]) == 0
+    finally:
+        os.umask(old_mask)
+    assert fresh.stat().st_mode & 0o777 == 0o640
+    assert existing.stat().st_mode & 0o777 == 0o604
+    assert existing.read_bytes() == fresh.read_bytes() == run_cli(
+        "filter", emails_csv, "--shuffle"
+    ).stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_out_to_a_fifo_is_written_in_place(emails_csv, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(["filter", str(emails_csv), "--shuffle", "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [run_cli("filter", emails_csv, "--shuffle").stdout]

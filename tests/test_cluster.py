@@ -16,6 +16,7 @@ from mailminer import (
     kmeans,
     select_k,
     silhouette_mean,
+    silhouette_means,
     sse,
 )
 
@@ -126,6 +127,59 @@ def test_silhouette_matches_naive():
         ranges = attribute_ranges(ds)
         pd = lambda i, j: distance(ds.rows[i], ds.rows[j], ranges)
         assert silhouette_mean(ds, model) == naive_silhouette(ds, model.assignment, pd)
+
+
+def _pair_distance(ds):
+    ranges = attribute_ranges(ds)
+    return lambda i, j: distance(ds.rows[i], ds.rows[j], ranges)
+
+
+def test_silhouette_means_match_naive_per_model():
+    # one shared pass over the pairs, exactly the per-model naive sums
+    rnd = random.Random(37)
+    for _ in range(80):
+        ds = random_dataset(rnd, max_rows=30, min_rows=4)
+        ks = rnd.sample(range(1, len(ds.rows) + 1), rnd.randint(1, 4))
+        seed = rnd.randrange(2**32)
+        models = [kmeans(ds, KMeansConfig(k=k, seed=seed)) for k in ks]
+        pd = _pair_distance(ds)
+        assert silhouette_means(ds, models) == [
+            naive_silhouette(ds, m.assignment, pd) for m in models
+        ]
+
+
+def _brute_force_select_k(ds, cfg):
+    best = None
+    for k in range(2, cfg.k_max + 1):
+        model = kmeans(ds, KMeansConfig(k=k, max_iterations=cfg.max_iterations, seed=cfg.seed))
+        score = naive_silhouette(ds, model.assignment, _pair_distance(ds))
+        if best is None or score > best[0]:
+            best = (score, k, model)
+    return best[1], best[2]
+
+
+def test_select_k_matches_brute_force():
+    rnd = random.Random(43)
+    for _ in range(60):
+        ds = random_dataset(rnd, max_rows=25, min_rows=2)
+        cfg = KMeansConfig(
+            k_max=rnd.randint(2, min(5, len(ds.rows))),
+            max_iterations=rnd.choice([1, 3, 100]),
+            seed=rnd.randrange(2**32),
+        )
+        assert select_k(ds, cfg) == _brute_force_select_k(ds, cfg)
+
+
+def test_select_k_tie_goes_to_smallest_k():
+    # two tight groups: k = 2, 3 and 4 all split them the same way and score 1.0
+    ds = Dataset(
+        [AttributeSpec("x", "numeric"), AttributeSpec("s", "text")],
+        [[1.0, "a"] for _ in range(3)] + [[5.0, "b"] for _ in range(3)],
+    )
+    cfg = KMeansConfig(k_max=4, seed=0)
+    models = [kmeans(ds, KMeansConfig(k=k, seed=cfg.seed)) for k in (2, 3, 4)]
+    assert silhouette_means(ds, models) == [1.0, 1.0, 1.0]
+    assert select_k(ds, cfg) == (2, models[0]) == _brute_force_select_k(ds, cfg)
 
 
 def test_determinism_same_seed_same_model():

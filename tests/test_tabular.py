@@ -120,6 +120,20 @@ def test_csv_bad_numeric_cell_names_line_and_column(hint, cell):
         read_csv(io.StringIO(text), {"x": hint})
 
 
+@pytest.mark.parametrize("source", ["path", "stream"])
+def test_csv_byte_order_mark_is_not_part_of_the_first_name(tmp_path, source):
+    data = b"\xef\xbb\xbfDate,HTML\n1.0,yes\n"
+    if source == "path":
+        src = tmp_path / "bom.csv"
+        src.write_bytes(data)
+    else:
+        src = io.StringIO(data.decode("utf-8"))
+    ds = read_csv(src, {"Date": "numeric", "HTML": ("nominal", ("yes", "no"))})
+    assert [spec.name for spec in ds.schema] == ["Date", "HTML"]
+    assert ds.schema[0].kind == "numeric"
+    assert ds.rows == [[1.0, "yes"]]
+
+
 def test_csv_ragged_row():
     with pytest.raises(RaggedRow):
         read_csv(io.StringIO("a,b\n1,2,3\n"))
