@@ -185,6 +185,83 @@ def test_scan_non_utf8_file_name_in_byte_order(tmp_path):
     assert proc.stdout.count(b"\n") == 3
 
 
+def _mail(path, sender):
+    path.write_bytes(f"From: {sender}@x.test\r\n\r\n.".encode())
+
+
+def _symlink(link, target):
+    try:
+        os.symlink(target, link)
+    except (OSError, NotImplementedError) as exc:
+        pytest.skip(f"filesystem refuses a symbolic link: {exc}")
+
+
+def test_scan_reads_linked_files_but_does_not_descend_linked_directories(tmp_path):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    _mail(outside / "far.eml", "far")
+    root = tmp_path / "root"
+    root.mkdir()
+    _mail(root / "a.eml", "a")
+    _symlink(root / "linked_dir", outside)
+    _symlink(root / "link.eml", outside / "far.eml")
+    result = scan_corpus(root)
+    assert [r.from_addr for r in result.records] == ["a@x.test", "far@x.test"]
+    assert result.skipped == []
+
+
+def test_scan_ignores_dangling_links_looping_links_and_eml_directories(tmp_path):
+    _mail(tmp_path / "a.eml", "a")
+    _symlink(tmp_path / "dangling.eml", tmp_path / "gone.eml")
+    _symlink(tmp_path / "loop.eml", tmp_path / "loop.eml")
+    (tmp_path / "x.eml").mkdir()
+    _mail(tmp_path / "x.eml" / "inner.eml", "inner")
+    result = scan_corpus(tmp_path)
+    assert [r.from_addr for r in result.records] == ["a@x.test", "inner@x.test"]
+    assert result.skipped == []
+
+
+def test_scan_suffix_rule(tmp_path):
+    # Dot-files count; the suffix is case-insensitive; a name that is only
+    # ".eml" has no suffix (pathlib's rule), so it is not a message.
+    for name in (".hidden.eml", "b.Eml", ".eml", "c.eml.txt", "d.emlx"):
+        _mail(tmp_path / name, name.strip(".").split(".")[0] or "bare")
+    froms = [r.from_addr for r in scan_corpus(tmp_path).records]
+    assert froms == ["hidden@x.test", "b@x.test"]
+
+
+@pytest.mark.parametrize(
+    "cwd, arg, rel, shown",
+    [
+        ("", "d", "sub/bad.eml", "d/sub/bad.eml"),
+        ("", "d/", "sub/bad.eml", "d/sub/bad.eml"),
+        ("", "./d", "sub/bad.eml", "d/sub/bad.eml"),
+        ("", "d//sub", "bad.eml", "d/sub/bad.eml"),
+        ("", "d/./sub/", "bad.eml", "d/sub/bad.eml"),
+        ("d", ".", "sub/bad.eml", "sub/bad.eml"),
+        ("d", "./", "sub/bad.eml", "sub/bad.eml"),
+        ("d/sub", "../sub", "bad.eml", "../sub/bad.eml"),
+    ],
+)
+def test_scan_skip_entries_name_the_path_as_given(tmp_path, monkeypatch, cwd, arg, rel, shown):
+    sub = tmp_path / "d" / "sub"
+    sub.mkdir(parents=True)
+    _mail(sub / "good.eml", "good")
+    (sub / "bad.eml").write_bytes(b"truncated garbage with no structure")
+    monkeypatch.chdir(tmp_path / cwd)
+    result = scan_corpus(arg)
+    assert [r.from_addr for r in result.records] == ["good@x.test"]
+    assert [(s.path, s.reason) for s in result.skipped] == [
+        (rel, f"not an email message: no header/body separator and no header line in {shown}")
+    ]
+
+
+def test_scan_root_that_is_a_file_raises(tmp_path):
+    _mail(tmp_path / "a.eml", "a")
+    with pytest.raises(DirectoryUnreadable):
+        scan_corpus(tmp_path / "a.eml")
+
+
 _HEADER_VALUES = st.text() | st.from_regex(
     r"=\?(utf-8|latin1|x-unknown)\?[bBqQ]\?[^? ]*\?=", fullmatch=True
 )
