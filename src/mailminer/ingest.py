@@ -18,6 +18,8 @@ from pathlib import Path
 from .core import MISSING, DirectoryUnreadable, MalformedInput
 
 _SEPARATOR = re.compile(r"\r?\n\r?\n")
+_BOUNDARY_QUOTED = re.compile(r'boundary\s*=\s*"([^"]*)"', re.IGNORECASE)
+_BOUNDARY_BARE = re.compile(r"boundary\s*=\s*([^;\s]+)", re.IGNORECASE)
 _ENCODED_WORD = re.compile(r"=\?([^?]+)\?([bBqQ])\?([^? ]*)\?=")
 
 # Only the B and Q encodings over these charsets are decoded; any other
@@ -106,28 +108,56 @@ def _main_type(ct_value):
 
 
 def _boundary(ct_value):
-    m = re.search(r'boundary\s*=\s*"([^"]*)"', ct_value, re.IGNORECASE)
-    if m:
-        return m.group(1)
-    m = re.search(r"boundary\s*=\s*([^;\s]+)", ct_value, re.IGNORECASE)
+    m = _BOUNDARY_QUOTED.search(ct_value) or _BOUNDARY_BARE.search(ct_value)
     return m.group(1) if m else None
+
+
+def _split_segments(body_text, boundary):
+    """The text after each opening delimiter line, up to the next delimiter
+    line or the end of the body.
+
+    A delimiter line is "--" + boundary, then an optional "--", then only
+    spaces and tabs, then at most one "\\r" before the "\\n" (RFC 2046
+    §5.1.1). One ending in "--" is a close delimiter: it ends a segment
+    and opens none. Text before the first delimiter is dropped. A segment
+    starts with the "\\n" that ends its delimiter line and keeps the one
+    before the next. The boundary comes from a one-line header value, so
+    it holds no "\\n".
+    """
+    dash = "--" + boundary
+    segments = []
+    start = None  # offset of the open segment, if any
+    pos = 0  # offset of the current line
+    for line in body_text.split("\n"):
+        end = pos + len(line)
+        if line.startswith(dash):
+            rest = line[len(dash):]
+            close = rest.startswith("--")
+            if close:
+                rest = rest[2:]
+            if rest.endswith("\r"):
+                rest = rest[:-1]
+            if not rest.strip(" \t"):
+                if start is not None:
+                    segments.append(body_text[start:pos])
+                start = None if close else end
+        pos = end + 1
+    if start is not None:
+        segments.append(body_text[start:])
+    return segments
 
 
 def _split_body(body_text, ct_value):
     """Body text to the list of its leaf parts' content types. Multipart
-    bodies are flattened recursively; everything else is one part."""
+    bodies are cut at their delimiter lines (see _split_segments) and
+    flattened recursively; a multipart body with no boundary parameter or
+    no part is one part of its own type, and so is everything else."""
     ctype = _main_type(ct_value) if ct_value else "text/plain"
     if ct_value and ctype.startswith("multipart/"):
         boundary = _boundary(ct_value)
         if boundary:
-            delim = re.compile(
-                r"^--" + re.escape(boundary) + r"(--)?[ \t]*\r?$", re.MULTILINE
-            )
-            pieces = delim.split(body_text)
-            # split() interleaves the optional "--" capture group
-            segments = [pieces[i] for i in range(2, len(pieces), 2) if pieces[i - 1] is None]
             parts = []
-            for segment in segments:
+            for segment in _split_segments(body_text, boundary):
                 segment = segment.lstrip("\r\n")
                 m = _SEPARATOR.search(segment)
                 if m:
@@ -194,25 +224,39 @@ def _decode_q(text):
     return bytes(out)
 
 
+def _decode_word(m):
+    """The text of one encoded-word match, or None if it does not decode."""
+    codec = _CHARSETS.get(m.group(1).split("*", 1)[0].lower())
+    if codec is None:
+        return None
+    try:
+        if m.group(2).lower() == "b":
+            raw = base64.b64decode(m.group(3), validate=True)
+        else:
+            raw = _decode_q(m.group(3))
+        return raw.decode(codec)
+    except (binascii.Error, ValueError, UnicodeDecodeError):
+        return None
+
+
 def decode_encoded_words(value):
     """Decode RFC 2047 =?charset?B|Q?...?= tokens; undecodable tokens
-    are kept verbatim."""
-
-    def repl(m):
-        charset = m.group(1).split("*", 1)[0].lower()
-        codec = _CHARSETS.get(charset)
-        if codec is None:
-            return m.group(0)
-        try:
-            if m.group(2).lower() == "b":
-                raw = base64.b64decode(m.group(3), validate=True)
-            else:
-                raw = _decode_q(m.group(3))
-            return raw.decode(codec)
-        except (binascii.Error, ValueError, UnicodeDecodeError):
-            return m.group(0)
-
-    return _ENCODED_WORD.sub(repl, value)
+    are kept verbatim. Spaces and tabs between two encoded-words that
+    both decode are dropped (RFC 2047 §6.2); next to a verbatim token
+    they stay."""
+    out = []
+    pos = 0
+    prev_decoded = False
+    for m in _ENCODED_WORD.finditer(value):
+        gap = value[pos : m.start()]
+        text = _decode_word(m)
+        if not (prev_decoded and text is not None and not gap.strip(" \t")):
+            out.append(gap)
+        out.append(m.group(0) if text is None else text)
+        prev_decoded = text is not None
+        pos = m.end()
+    out.append(value[pos:])
+    return "".join(out)
 
 
 def _clean_addr(addr):
@@ -275,28 +319,60 @@ def extract_record(raw):
     return EmailRecord(date, message_id, tuple(cc), from_addr, subject, has_html)
 
 
+def _eml_files(root):
+    """Relative paths ("/"-separated) of the .eml files under root, in
+    one os.scandir pass per directory.
+
+    A name is a .eml file when its last suffix is ".eml" in any case (a
+    name that is only ".eml" has no suffix, as in pathlib) and it is a
+    regular file or a link to one. Linked directories are not descended;
+    unreadable subdirectories are passed over.
+    """
+    found = []
+    pending = [(os.fspath(root), "")]
+    while pending:
+        path, prefix = pending.pop()
+        try:
+            with os.scandir(path) as it:
+                entries = list(it)
+        except PermissionError:
+            continue
+        for entry in entries:
+            name = entry.name
+            if entry.is_dir(follow_symlinks=False):
+                pending.append((entry.path, prefix + name + "/"))
+            elif len(name) > 4 and name[-4:].lower() == ".eml" and (
+                Path(entry.path).is_file() if entry.is_symlink() else entry.is_file()
+            ):
+                found.append(prefix + name)
+    return found
+
+
 def scan_corpus(directory):
     """Parse every .eml file under a directory, recursively.
 
-    Files are processed in lexicographic byte order of their relative
-    path, so the result is independent of filesystem enumeration order.
-    Unparseable .eml files land on the skip-list; non-.eml files are
-    ignored entirely.
+    Enumeration: dot-files count; the ".eml" suffix matches in any case;
+    a link to a .eml file is read, a linked directory is not descended,
+    and dangling links and directories named *.eml are ignored (see
+    _eml_files). Files are processed in lexicographic byte order of their
+    relative path, so the result is independent of filesystem enumeration
+    order. Unparseable .eml files land on the skip-list under their
+    relative path, with a reason that names the file as
+    Path(directory) / relative path; non-.eml files are ignored entirely.
+    Raises DirectoryUnreadable when directory is not a directory.
     """
     root = Path(directory)
     if not root.is_dir():
         raise DirectoryUnreadable(f"not a readable directory: {directory}")
     try:
-        files = [
-            p for p in root.rglob("*") if p.is_file() and p.suffix.lower() == ".eml"
-        ]
+        files = _eml_files(root)
     except OSError as exc:
         raise DirectoryUnreadable(f"cannot scan {directory}: {exc}") from exc
-    files.sort(key=lambda p: os.fsencode(p.relative_to(root)))
+    files.sort(key=os.fsencode)
 
     records, skipped = [], []
-    for path in files:
-        rel = str(path.relative_to(root))
+    for rel in files:
+        path = root / rel
         try:
             data = path.read_bytes()
             record = extract_record(parse_eml(data, source_path=str(path)))

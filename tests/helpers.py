@@ -1,9 +1,10 @@
 """Test-side oracles: an independent ARFF well-formedness check, a
-per-character CSV tokenizer, a naive SSE recomputation, a naive
-silhouette, and a random dataset generator."""
+per-character CSV tokenizer, a regex MIME part splitter, a naive SSE
+recomputation, a naive silhouette, and a random dataset generator."""
 
 import math
 import random
+import re
 
 from mailminer import AttributeSpec, Dataset, MISSING
 
@@ -163,6 +164,20 @@ def oracle_parse_csv_text(text):
         end_field()
         end_row()
     return rows
+
+
+# ---------------------------------------------------------------------------
+# MIME part splitting oracle
+
+
+def oracle_split_segments(body_text, boundary):
+    """The segments after each opening delimiter line, by one regex per
+    boundary and re.split; the reference for
+    mailminer.ingest._split_segments."""
+    delim = re.compile(r"^--" + re.escape(boundary) + r"(--)?[ \t]*\r?$", re.MULTILINE)
+    pieces = delim.split(body_text)
+    # split() interleaves the optional "--" capture group
+    return [pieces[i] for i in range(2, len(pieces), 2) if pieces[i - 1] is None]
 
 
 # ---------------------------------------------------------------------------

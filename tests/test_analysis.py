@@ -1,8 +1,10 @@
 import io
 import random
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mailminer import (
     MISSING,
@@ -15,7 +17,7 @@ from mailminer import (
     summarize,
     top_senders,
 )
-from mailminer.analysis import SenderReport, UNKNOWN_SENDER
+from mailminer.analysis import SenderReport, UNKNOWN_SENDER, _escape
 from mailminer.ingest import EmailRecord
 
 
@@ -139,6 +141,11 @@ def test_render_svg_one_rect_per_entry():
         root = ET.fromstring(text)  # XML well-formedness check
         rects = root.findall(".//{http://www.w3.org/2000/svg}rect")
         assert len(rects) == expected
+
+
+@given(st.text(alphabet="a&<>;\"'é"))
+def test_svg_label_escape_matches_saxutils(text):
+    assert _escape(text) == escape(text)
 
 
 def test_render_unsupported_format():

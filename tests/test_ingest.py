@@ -1,4 +1,5 @@
 import base64
+import email.header
 import os
 import random
 from datetime import datetime, timezone
@@ -14,8 +15,10 @@ from mailminer import (
     parse_eml,
     scan_corpus,
 )
+from mailminer.ingest import _split_segments, decode_encoded_words
 
 from conftest import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, run_cli
+from helpers import oracle_split_segments
 
 
 def _record(raw_bytes):
@@ -87,6 +90,24 @@ def test_unknown_charset_kept_verbatim():
     token = "=?KOI8-R?B?0NLJ18XU?="
     rec = _record(f"Subject: {token}\r\n\r\n.".encode())
     assert rec.subject == token
+
+
+def test_adjacent_encoded_words_drop_the_space_between():
+    # RFC 2047 §6.2; oracle: the stdlib's email.header
+    value = "=?utf-8?q?caf=C3=A9?= =?utf-8?q?_bar?="
+    expected = str(email.header.make_header(email.header.decode_header(value)))
+    assert decode_encoded_words(value) == expected == "café bar"
+
+
+def test_folded_encoded_subject_has_no_stray_space():
+    rec = _record(b"Subject: =?utf-8?q?caf=C3=A9?=\r\n\t=?utf-8?b?IGJhcg==?=\r\n\r\n.")
+    assert rec.subject == "café bar"
+
+
+def test_space_next_to_a_verbatim_encoded_word_is_kept():
+    token = "=?KOI8-R?B?0NLJ18XU?="
+    value = f"=?utf-8?q?a?= \t{token} =?utf-8?q?b?=  plain =?utf-8?q?c?="
+    assert decode_encoded_words(value) == f"a \t{token} b  plain c"
 
 
 def test_date_parsed_to_utc_seconds():
@@ -183,6 +204,44 @@ def test_scan_non_utf8_file_name_in_byte_order(tmp_path):
     proc = run_cli("convert", tmp_path)
     assert proc.returncode == 0
     assert proc.stdout.count(b"\n") == 3
+
+
+def test_multipart_delimiters_with_blanks_cr_and_close():
+    body = (
+        "preamble\r\n--b.1 \t\r\nContent-Type: text/plain\r\n\r\nx\r\n"
+        "--b.1x\r\n--b.1--\r\nignored\r\n"
+        "--b.1\nContent-Type: text/html\n\n<p>\n--b.1-- \n"
+    )
+    raw = parse_eml(b'Content-Type: multipart/mixed; boundary="b.1"\r\n\r\n' + body.encode())
+    assert raw.body_parts == ("text/plain", "text/html")
+
+
+# Boundaries with regex metacharacters, blanks and "-"; lines that are
+# delimiters, near misses (a stray "-", text after the blanks, "\r" not
+# last) and noise with bare "\r".
+_BOUNDARIES = st.text(alphabet="ab-_ \t.*+?()[]{}|^$\\=\r", min_size=1, max_size=6)
+
+
+@st.composite
+def _delimited_bodies(draw):
+    boundary = draw(_BOUNDARIES)
+    dash = "--" + boundary
+    delimiter = st.builds(
+        lambda lead, tail, blanks, cr: lead + dash + tail + blanks + cr,
+        st.sampled_from(["", "", "", "-", " ", "x"]),
+        st.sampled_from(["", "", "--", "-", "---", "x", "--x"]),
+        st.text(alphabet=" \t", max_size=3),
+        st.sampled_from(["", "\r", "\r\r", "\r ", " \r"]),
+    )
+    noise = st.text(alphabet="x-\r \t", max_size=5)
+    lines = draw(st.lists(delimiter | noise, max_size=12))
+    return "\n".join(lines), boundary
+
+
+@given(_delimited_bodies())
+def test_split_segments_matches_regex_oracle(case):
+    body, boundary = case
+    assert _split_segments(body, boundary) == oracle_split_segments(body, boundary)
 
 
 def _mail(path, sender):
