@@ -325,8 +325,10 @@ def _eml_files(root):
 
     A name is a .eml file when its last suffix is ".eml" in any case (a
     name that is only ".eml" has no suffix, as in pathlib) and it is a
-    regular file or a link to one. Linked directories are not descended;
-    unreadable subdirectories are passed over.
+    regular file or a link to one. A link is tested with Path.is_file,
+    which reads a looping link as no file where DirEntry.is_file raises.
+    Linked directories are not descended; unreadable subdirectories are
+    passed over.
     """
     found = []
     pending = [(os.fspath(root), "")]

@@ -157,6 +157,9 @@ def test_scan_empty_directory(tmp_path):
 def test_scan_missing_directory_raises(tmp_path):
     with pytest.raises(DirectoryUnreadable):
         scan_corpus(tmp_path / "nope")
+    _mail(tmp_path / "a.eml", "a")
+    with pytest.raises(DirectoryUnreadable):
+        scan_corpus(tmp_path / "a.eml")
 
 
 def test_scan_fixture_corpus_in_path_order(corpus_records):
@@ -313,12 +316,6 @@ def test_scan_skip_entries_name_the_path_as_given(tmp_path, monkeypatch, cwd, ar
     assert [(s.path, s.reason) for s in result.skipped] == [
         (rel, f"not an email message: no header/body separator and no header line in {shown}")
     ]
-
-
-def test_scan_root_that_is_a_file_raises(tmp_path):
-    _mail(tmp_path / "a.eml", "a")
-    with pytest.raises(DirectoryUnreadable):
-        scan_corpus(tmp_path / "a.eml")
 
 
 _HEADER_VALUES = st.text() | st.from_regex(
