@@ -55,6 +55,31 @@ def test_distance_arity_mismatch():
         distance([1.0, 2.0], [1.0], [1.0])
 
 
+def test_centroid_arity_mismatch():
+    ds = _numeric_ds([0, 1, 10, 11])
+    for centers in ([[0.0, 1.0], [10.0, 1.0]], [[0.0], []]):
+        with pytest.raises(ArityMismatch):
+            kmeans(ds, KMeansConfig(k=2), initial_centroids=centers)
+
+
+def test_row_longer_than_schema_is_arity_mismatch():
+    schema = [AttributeSpec("x", "numeric"), AttributeSpec("s", "text")]
+    rows = [[0.0, "a"], [1.0, "b"], [5.0, "a"], [6.0, "b"]]
+    model = kmeans(Dataset(schema, rows), KMeansConfig(k=2, seed=1))
+    for at in (0, 3):
+        long_rows = [list(r) for r in rows]
+        long_rows[at].append("extra")
+        ds = Dataset(schema, long_rows)
+        with pytest.raises(ArityMismatch):
+            kmeans(ds, KMeansConfig(k=2, seed=1))
+        with pytest.raises(ArityMismatch):
+            select_k(ds, KMeansConfig(k_max=3, seed=1))
+        with pytest.raises(ArityMismatch):
+            silhouette_means(ds, [model])
+        with pytest.raises(ArityMismatch):
+            sse(ds, model)
+
+
 def test_hand_trace_two_clusters():
     ds = _numeric_ds([0, 1, 10, 11])
     model = kmeans(ds, KMeansConfig(k=2), initial_centroids=[[0.0], [10.0]])
