@@ -6,14 +6,21 @@ Distance is the Euclidean combination of per-attribute differences:
 |x - c| / range for numeric/date cells (0 for a constant column), 0 on
 match and 1 on mismatch for the rest, and 1 if either side is missing.
 Centroids carry the mean of a ranged column and the mode of the rest.
-Auto-k scores every candidate k in one pass over the row pairs, which
-streams each distance into per-row, per-cluster sums for all the models
-together: O(n^2) distances and O(n*sum(k)) memory.
+
+Every distance comes from `row_kernel(ranges)`, one row against many,
+generated per set of ranges as a list comprehension with the columns
+unrolled. Its bits equal the generic per-pair loop's: each pair sums 0.0
+and one term per column, left to right, before the sqrt; squaring
+(x - c) / range in place of |x - c| / range, and adding a bool to a
+float, are exact. Assignment calls it once per centroid, the silhouette
+once per row on the rows after it: O(n^2) distances, O(n*sum(k)) memory.
 """
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 
 from .core import MISSING, ArityMismatch, EmptyDataset, TooFewRows
 from .rng import Lcg
@@ -43,6 +50,7 @@ class ClusterModel:
 def attribute_ranges(ds):
     """Per column: max - min over the non-missing cells of a numeric/date
     column (0.0 when there are none), or None for a nominal/text column."""
+    _check_arity(len(ds.schema), ds.rows)
     ranges = []
     for j, spec in enumerate(ds.schema):
         if spec.kind in ("numeric", "date"):
@@ -53,21 +61,46 @@ def attribute_ranges(ds):
     return ranges
 
 
+def _check_arity(width, rows):
+    for row in rows:
+        if len(row) != width:
+            raise ArityMismatch(f"row/centroid arity {len(row)} vs schema {width}")
+
+
+def _left_sum(values):
+    """Float sum strictly left to right; builtin sum() compensates on 3.12+."""
+    return reduce(operator.add, values, 0.0)
+
+
+def row_kernel(ranges):
+    """kernel(row, rows) -> [distance(row, other, ranges) for other in rows],
+    generated from column indices and fixed templates only: the ranges are
+    bound by name (R0, R1, ...), and no cell ever reaches the source."""
+    a = ", ".join(f"a{j}" for j in range(len(ranges)))
+    ranged = ("(1.0 if a{0} is M or b{0} is M"
+              " else ((a{0} - b{0}) / R{0}) * ((a{0} - b{0}) / R{0}) if R{0} else 0.0)")
+    terms = "".join(
+        f" + (m{j} or a{j} != b{j})" if rng is None else " + " + ranged.format(j)
+        for j, rng in enumerate(ranges)
+    )
+    hoisted = "".join(f"        m{j} = a{j} is M\n" for j, rng in enumerate(ranges) if rng is None)
+    namespace = {f"R{j}": rng for j, rng in enumerate(ranges)}
+    namespace.update(M=MISSING, sqrt=math.sqrt, check=_check_arity)
+    exec(f"""def kernel(row, rows):
+    try:
+        [{a}] = row
+{hoisted}        return [sqrt(0.0{terms}) for [{a.replace("a", "b")}] in rows]
+    except ValueError:
+        check({len(ranges)}, [row, *rows])
+        raise
+""", namespace)
+    return namespace["kernel"]
+
+
 def distance(row, other, ranges):
-    if len(row) != len(ranges) or len(other) != len(ranges):
-        raise ArityMismatch(
-            f"row/centroid arity {len(row)}/{len(other)} vs schema {len(ranges)}"
-        )
-    total = 0.0
-    for x, c, rng in zip(row, other, ranges):
-        if x is MISSING or c is MISSING:
-            d = 1.0
-        elif rng is None:
-            d = 0.0 if x == c else 1.0
-        else:
-            d = abs(x - c) / rng if rng else 0.0
-        total += d * d
-    return math.sqrt(total)
+    """One distance, from a kernel generated for this call (loops should
+    build row_kernel once); ArityMismatch if a side does not fit ranges."""
+    return row_kernel(ranges)(row, [other])[0]
 
 
 def _centroid(rows, members, ranges):
@@ -78,7 +111,7 @@ def _centroid(rows, members, ranges):
         if not present:
             cells.append(MISSING)
         elif rng is not None:
-            cells.append(sum(present) / len(present))
+            cells.append(_left_sum(present) / len(present))
         else:
             # Counter keeps first-seen order and max() keeps the first of
             # equal counts, so ties go to the value seen first
@@ -87,17 +120,21 @@ def _centroid(rows, members, ranges):
     return cells
 
 
-def _nearest(row, centroids, ranges):
-    """(index, distance) of the closest centroid, ties to the lowest index."""
-    best, best_d = 0, distance(row, centroids[0], ranges)
+def _nearest(kernel, centroids, rows):
+    """Each row's closest centroid and distance to it, ties to the lowest index."""
+    labels, best = [0] * len(rows), kernel(centroids[0], rows)
     for ci in range(1, len(centroids)):
-        d = distance(row, centroids[ci], ranges)
-        if d < best_d:
-            best, best_d = ci, d
-    return best, best_d
+        for i, d in enumerate(kernel(centroids[ci], rows)):
+            if d < best[i]:
+                labels[i], best[i] = ci, d
+    return labels, best
 
 
-def kmeans(ds, cfg, initial_centroids=None):
+def _sse(kernel, rows, centroids, assignment):
+    return _left_sum([kernel(centroids[ci], [row])[0] ** 2 for row, ci in zip(rows, assignment)])
+
+
+def kmeans(ds, cfg, initial_centroids=None, kernel=None):
     """Lloyd iteration with seeded initialization.
 
     Initial centers are k distinct rows drawn by the seeded generator
@@ -105,7 +142,8 @@ def kmeans(ds, cfg, initial_centroids=None):
     assignment (nearest centroid, ties to the lowest index) and centroid
     update, and stops on a pass that changes no assignment; that
     confirming pass is counted in `iterations`. A cluster emptied along
-    the way keeps its previous centroid.
+    the way keeps its previous centroid. `kernel` is
+    row_kernel(attribute_ranges(ds)), when the caller has built it already.
     """
     rows = ds.rows
     n = len(rows)
@@ -119,6 +157,7 @@ def kmeans(ds, cfg, initial_centroids=None):
     if k > n:
         raise TooFewRows(f"k={k} but only {n} rows")
     ranges = attribute_ranges(ds)
+    kernel = kernel or row_kernel(ranges)
 
     if initial_centroids is not None:
         if len(initial_centroids) != k:
@@ -132,13 +171,12 @@ def kmeans(ds, cfg, initial_centroids=None):
     first_pass_sse = 0.0
     while iterations < cfg.max_iterations:
         iterations += 1
-        nearest = [_nearest(row, centroids, ranges) for row in rows]
-        new_assignment = [ci for ci, _ in nearest]
+        new_assignment, dists = _nearest(kernel, centroids, rows)
         if iterations == 1:
-            first_pass_sse = sum(d ** 2 for _, d in nearest)
+            first_pass_sse = _left_sum([d ** 2 for d in dists])
         if new_assignment == assignment:
             # the centroids have not moved since this pass
-            total_sse = sum(d ** 2 for _, d in nearest)
+            total_sse = _left_sum([d ** 2 for d in dists])
             break
         assignment = new_assignment
         members = [[] for _ in range(k)]
@@ -149,9 +187,7 @@ def kmeans(ds, cfg, initial_centroids=None):
                 centroids[ci] = _centroid(rows, members[ci], ranges)
     else:
         # capped: the last update moved the centroids
-        total_sse = sum(
-            distance(row, centroids[ci], ranges) ** 2 for row, ci in zip(rows, assignment)
-        )
+        total_sse = _sse(kernel, rows, centroids, assignment)
 
     sizes = [assignment.count(ci) for ci in range(k)]
     return ClusterModel(centroids, assignment, iterations, total_sse, sizes, k, first_pass_sse)
@@ -159,11 +195,7 @@ def kmeans(ds, cfg, initial_centroids=None):
 
 def sse(ds, model):
     """Within-cluster sum of squared distances, recomputed from scratch."""
-    ranges = attribute_ranges(ds)
-    return sum(
-        distance(row, model.centroids[ci], ranges) ** 2
-        for row, ci in zip(ds.rows, model.assignment)
-    )
+    return _sse(row_kernel(attribute_ranges(ds)), ds.rows, model.centroids, model.assignment)
 
 
 def silhouette_mean(ds, model):
@@ -171,40 +203,38 @@ def silhouette_mean(ds, model):
     return silhouette_means(ds, [model])[0]
 
 
-def silhouette_means(ds, models):
+def silhouette_means(ds, models, kernel=None):
     """Mean silhouette coefficient of each model fitted to the rows of ds.
 
     Rows in singleton clusters score 0, as does any row whose cohesion
-    and separation are both 0. One pass over the pairs i < j computes
-    each distance once and adds it to both rows' per-cluster sums in
+    and separation are both 0. Row i's distances to the rows after it
+    come from one kernel call, each computed once for both rows and
     every model: O(n^2) distances, O(n * sum(k)) memory. Every sum takes
     its terms in ascending row order, whatever the number of models.
     """
     rows = ds.rows
     n = len(rows)
-    ranges = attribute_ranges(ds)
-    # one row of sums per data row, model after model: model m's cluster
-    # c sits at spans[m][0] + c, and slots[i] holds row i's slot per model
-    spans, width = [], 0
+    kernel = kernel or row_kernel(attribute_ranges(ds))
+    # sums[t][i] is row i's running distance sum to cluster column t;
+    # model m's cluster c is column spans[m][0] + c, as in labels[m]
+    spans, labels, width = [], [], 0
     for model in models:
+        labels.append([width + ci for ci in model.assignment])
         start, width = width, width + max(model.assignment, default=-1) + 1
         spans.append((start, width))
-    slots = [
-        tuple(start + model.assignment[i] for (start, _), model in zip(spans, models))
-        for i in range(n)
-    ]
-    sums = [[0.0] * width for _ in range(n)]
+    sums = [[0.0] * n for _ in range(width)]
     for i in range(n):
-        row, row_sums, row_slots = rows[i], sums[i], slots[i]
-        for j in range(i + 1, n):
-            d = distance(row, rows[j], ranges)
-            for slot in slots[j]:
-                row_sums[slot] += d
-            other_sums = sums[j]
-            for slot in row_slots:
-                other_sums[slot] += d
+        tail = kernel(rows[i], rows[i + 1 :])
+        own = [col[i] for col in sums]
+        for lab in labels:
+            for d, t in zip(tail, lab[i + 1 :]):
+                own[t] += d
+            col = sums[lab[i]]
+            col[i + 1 :] = map(operator.add, col[i + 1 :], tail)
+        for col, total in zip(sums, own):
+            col[i] = total
     return [
-        _mean_silhouette(model.assignment, [row_sums[start:end] for row_sums in sums])
+        _mean_silhouette(model.assignment, list(zip(*sums[start:end])))
         for model, (start, end) in zip(models, spans)
     ]
 
@@ -237,11 +267,13 @@ def select_k(ds, cfg):
         raise TooFewRows("auto-k needs at least 2 rows")
     if cfg.k_max < 2 or cfg.k_max > n:
         raise TooFewRows(f"k_max={cfg.k_max} out of range [2, {n}]")
+    kernel = row_kernel(attribute_ranges(ds))
     models = [
-        kmeans(ds, KMeansConfig(k=k, max_iterations=cfg.max_iterations, seed=cfg.seed))
+        kmeans(ds, KMeansConfig(k=k, max_iterations=cfg.max_iterations, seed=cfg.seed),
+               kernel=kernel)
         for k in range(2, cfg.k_max + 1)
     ]
-    scores = silhouette_means(ds, models)
+    scores = silhouette_means(ds, models, kernel)
     # max() keeps the first of equal scores: ties go to the smallest k
     best = max(range(len(models)), key=scores.__getitem__)
     return models[best].chosen_k, models[best]

@@ -1,10 +1,13 @@
 """Test-side oracles: an independent ARFF well-formedness check, a
-per-character CSV tokenizer, a regex MIME part splitter, a naive SSE
-recomputation, a naive silhouette, and a random dataset generator."""
+per-character CSV tokenizer, a regex MIME part splitter, a per-pair
+distance loop, a naive SSE recomputation, a naive silhouette, and a
+random dataset generator."""
 
 import math
+import operator
 import random
 import re
+from functools import reduce
 
 from mailminer import AttributeSpec, Dataset, MISSING
 
@@ -184,6 +187,26 @@ def oracle_split_segments(body_text, boundary):
 # Naive clustering oracles (deliberately independent of mailminer.cluster)
 
 
+def left_sum(values):
+    """Float sum strictly left to right; builtin sum() compensates on 3.12+."""
+    return reduce(operator.add, values, 0.0)
+
+
+def oracle_distance(row, other, ranges):
+    """The generic per-pair loop; the reference for mailminer.cluster.row_kernel."""
+    assert len(row) == len(other) == len(ranges)
+    total = 0.0
+    for x, c, rng in zip(row, other, ranges):
+        if x is MISSING or c is MISSING:
+            d = 1.0
+        elif rng is None:
+            d = 0.0 if x == c else 1.0
+        else:
+            d = abs(x - c) / rng if rng else 0.0
+        total += d * d
+    return math.sqrt(total)
+
+
 def naive_sse(ds, model):
     mins, maxs = {}, {}
     for j, spec in enumerate(ds.schema):
@@ -218,9 +241,9 @@ def naive_silhouette(ds, assignment, pair_distance):
         own = clusters[assignment[i]]
         if len(own) <= 1:
             continue
-        a = sum(pair_distance(i, j) for j in own if j != i) / (len(own) - 1)
+        a = left_sum(pair_distance(i, j) for j in own if j != i) / (len(own) - 1)
         bs = [
-            sum(pair_distance(i, j) for j in mem) / len(mem)
+            left_sum(pair_distance(i, j) for j in mem) / len(mem)
             for ci, mem in clusters.items()
             if ci != assignment[i] and mem
         ]

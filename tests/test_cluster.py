@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mailminer import (
     MISSING,
@@ -19,12 +20,18 @@ from mailminer import (
     silhouette_means,
     sse,
 )
+from mailminer.cluster import row_kernel
 
-from helpers import naive_silhouette, random_dataset
+from helpers import naive_silhouette, oracle_distance, random_dataset
 
 
 def _numeric_ds(values, name="x"):
     return Dataset([AttributeSpec(name, "numeric")], [[float(v)] for v in values])
+
+
+def _pair_distance(ds):
+    ranges = attribute_ranges(ds)
+    return lambda i, j: oracle_distance(ds.rows[i], ds.rows[j], ranges)
 
 
 def test_distance_zero_on_identical():
@@ -80,6 +87,82 @@ def test_row_longer_than_schema_is_arity_mismatch():
             sse(ds, model)
 
 
+def test_row_shorter_than_schema_is_arity_mismatch():
+    # the cell a short row lacks is in the numeric column, which
+    # attribute_ranges reads before any distance is computed
+    schema = [AttributeSpec("s", "text"), AttributeSpec("x", "numeric")]
+    rows = [["a", 0.0], ["b", 1.0], ["a", 5.0], ["b", 6.0]]
+    model = kmeans(Dataset(schema, rows), KMeansConfig(k=2, seed=1))
+    for short in (["a"], []):
+        ds = Dataset(schema, rows[:2] + [short] + rows[3:])
+        for call in (
+            lambda: attribute_ranges(ds),
+            lambda: kmeans(ds, KMeansConfig(k=2, seed=1)),
+            lambda: select_k(ds, KMeansConfig(k_max=3, seed=1)),
+            lambda: silhouette_means(ds, [model]),
+            lambda: sse(ds, model),
+        ):
+            with pytest.raises(ArityMismatch):
+                call()
+
+
+_CELL_TEXT = st.sampled_from(["a", "b", "", "?"])
+_CENTROID_TEXT = st.sampled_from(["a", "", "z", "zz"])
+_CELL_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(ranges, centroid, rows): any column order, missing cells on both
+    sides, constant, all-missing and overflowing numeric columns, and
+    centroid values drawn apart from the rows."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", "date", "text"]), min_size=1, max_size=5))
+    n = draw(st.integers(0, 6))
+    columns = []
+    for kind in kinds:
+        if kind == "text":
+            cells = st.one_of(st.just(MISSING), _CELL_TEXT)
+        else:
+            shape = draw(st.sampled_from(["free", "constant", "missing"]))
+            value = draw(_CELL_FLOAT)
+            cells = {
+                "free": st.one_of(st.just(MISSING), _CELL_FLOAT),
+                "constant": st.one_of(st.just(MISSING), st.just(value)),
+                "missing": st.just(MISSING),
+            }[shape]
+        columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    schema = [AttributeSpec(f"c{j}", kind) for j, kind in enumerate(kinds)]
+    rows = [list(cells) for cells in zip(*columns)] if n else []
+    centroid = [
+        draw(st.one_of(st.just(MISSING), _CENTROID_TEXT if kind == "text" else _CELL_FLOAT))
+        for kind in kinds
+    ]
+    return attribute_ranges(Dataset(schema, rows)), centroid, rows
+
+
+@given(_kernel_cases())
+@example(([None, 4.0], ["z", 9.5], [["a", 1.0], [MISSING, 5.0], ["z", MISSING]]))
+@example(([0.0], [3.0], [[2.0], [MISSING]]))
+@example(([2.0, None], [1.0, "a"], []))
+def test_kernel_matches_oracle_distance(case):
+    ranges, centroid, rows = case
+    got = row_kernel(ranges)(centroid, rows)
+    assert [d.hex() for d in got] == [oracle_distance(centroid, r, ranges).hex() for r in rows]
+    assert [d.hex() for d in row_kernel(ranges)(centroid, [centroid])] == [
+        oracle_distance(centroid, centroid, ranges).hex()
+    ]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 100]))
+def test_sse_recomputed_equals_fit(seed, max_iterations):
+    # exact, for converged fits and for fits capped by max_iterations
+    rnd = random.Random(seed)
+    ds = random_dataset(rnd, max_rows=30)
+    k = rnd.randint(1, len(ds.rows))
+    model = kmeans(ds, KMeansConfig(k=k, max_iterations=max_iterations, seed=seed))
+    assert sse(ds, model) == model.sse
+
+
 def test_hand_trace_two_clusters():
     ds = _numeric_ds([0, 1, 10, 11])
     model = kmeans(ds, KMeansConfig(k=2), initial_centroids=[[0.0], [10.0]])
@@ -121,12 +204,10 @@ def test_select_k_two_separated_groups():
     cfg = KMeansConfig(k_max=3, seed=1)
     chosen, model = select_k(ds, cfg)
     # oracle: exhaustive silhouette comparison over k in [2, 3]
-    ranges = attribute_ranges(ds)
-    pd = lambda i, j: distance(ds.rows[i], ds.rows[j], ranges)
     scores = {}
     for k in (2, 3):
         mk = kmeans(ds, KMeansConfig(k=k, seed=1))
-        scores[k] = naive_silhouette(ds, mk.assignment, pd)
+        scores[k] = naive_silhouette(ds, mk.assignment, _pair_distance(ds))
     assert chosen == max(scores, key=scores.get) == 2
     assert sorted(model.sizes) == [2, 2]
 
@@ -149,14 +230,8 @@ def test_silhouette_matches_naive():
         k = rnd.randint(1, len(ds.rows))
         cases.append((ds, kmeans(ds, KMeansConfig(k=k, seed=rnd.randrange(2**32)))))
     for ds, model in cases:
-        ranges = attribute_ranges(ds)
-        pd = lambda i, j: distance(ds.rows[i], ds.rows[j], ranges)
+        pd = _pair_distance(ds)
         assert silhouette_mean(ds, model) == naive_silhouette(ds, model.assignment, pd)
-
-
-def _pair_distance(ds):
-    ranges = attribute_ranges(ds)
-    return lambda i, j: distance(ds.rows[i], ds.rows[j], ranges)
 
 
 def test_silhouette_means_match_naive_per_model():

@@ -7,21 +7,27 @@ iteration count, the cluster sizes, a digest of the assignment, and the
 `repr` of `sse`, `first_pass_sse` and `silhouette_mean`, plus the k that
 `select_k` picks. The test recomputes them and asserts exact equality.
 
+The same check runs as a script, without pytest, so any interpreter with
+the package's (stdlib-only) imports can run it:
+
+    python tests/test_kernel_golden.py --check
+
 Regenerate the golden (only when a result change is intended) with
 
-    python tests/test_kernel_golden.py
+    python tests/test_kernel_golden.py --write
 """
 
 import hashlib
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
-import pytest
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
 
-# conftest puts src/ on sys.path, which running this file as a script needs
-from conftest import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS
 from mailminer import (
     KMeansConfig,
     kmeans,
@@ -36,7 +42,7 @@ from mailminer.cli import CANONICAL_HINTS
 
 from helpers import random_dataset
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "kernel.json"
+GOLDEN = ROOT / "tests" / "golden" / "kernel.json"
 SEED = 42
 K_RANGE = range(2, 5)
 RANDOM_SEEDS = (101, 202, 303)
@@ -50,8 +56,8 @@ def _fixture_dataset(directory):
 
 
 def _datasets():
-    yield "corpus", _fixture_dataset(FIXTURE_CORPUS)
-    yield "dup_corpus", _fixture_dataset(FIXTURE_DUP_CORPUS)
+    yield "corpus", _fixture_dataset(ROOT / "fixtures" / "corpus")
+    yield "dup_corpus", _fixture_dataset(ROOT / "fixtures" / "dup_corpus")
     for seed in RANDOM_SEEDS:
         yield f"random_{seed}", random_dataset(random.Random(seed), max_rows=260, min_rows=240)
 
@@ -76,23 +82,36 @@ def _kernel_results(ds):
     return {"rows": len(ds.rows), "k": per_k, "select_k": chosen}
 
 
+DATASETS = dict(_datasets())
+
+
+def _main(argv):
+    if argv not in (["--check"], ["--write"]):
+        print("usage: test_kernel_golden.py --check | --write", file=sys.stderr)
+        return 1
+    results = {name: _kernel_results(ds) for name, ds in DATASETS.items()}
+    if argv == ["--write"]:
+        GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+        return 0
+    golden = json.loads(GOLDEN.read_text())
+    bad = [name for name in DATASETS if results[name] != golden[name]]
+    version = ".".join(map(str, sys.version_info[:3]))
+    print(f"kernel golden on Python {version}: " + (f"MISMATCH {bad}" if bad else "ok"))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    # exits before the pytest import below, so --check needs no pytest
+    sys.exit(_main(sys.argv[1:]))
+
+import pytest  # noqa: E402
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
 
 
-DATASETS = dict(_datasets())
-
-
 @pytest.mark.parametrize("name", list(DATASETS))
 def test_kernel_matches_golden(name, golden):
     assert _kernel_results(DATASETS[name]) == golden[name]
-
-
-def _regenerate():
-    results = {name: _kernel_results(ds) for name, ds in DATASETS.items()}
-    GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
-
-
-if __name__ == "__main__":
-    _regenerate()
