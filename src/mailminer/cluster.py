@@ -8,8 +8,8 @@ match and 1 on mismatch for the rest, and 1 if either side is missing.
 Centroids carry the mean of a ranged column and the mode of the rest.
 
 Every distance comes from `row_kernel(ranges)`, one row against many,
-generated per set of ranges as a list comprehension with the columns
-unrolled. Its bits equal the generic per-pair loop's: each pair sums 0.0
+generated and kept per set of ranges as a list comprehension with the
+columns unrolled. Its bits equal the generic per-pair loop's: each pair sums 0.0
 and one term per column, left to right, before the sqrt; squaring
 (x - c) / range in place of |x - c| / range, and adding a bool to a
 float, are exact. Assignment calls it once per centroid, the silhouette
@@ -20,7 +20,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .core import MISSING, ArityMismatch, EmptyDataset, TooFewRows
 from .rng import Lcg
@@ -75,7 +75,14 @@ def _left_sum(values):
 def row_kernel(ranges):
     """kernel(row, rows) -> [distance(row, other, ranges) for other in rows],
     generated from column indices and fixed templates only: the ranges are
-    bound by name (R0, R1, ...), and no cell ever reaches the source."""
+    bound by name (R0, R1, ...), and no cell ever reaches the source. One
+    kernel is kept per set of ranges; callers check arity."""
+    return _generate_kernel(*ranges)
+
+
+# typed: an int range and an equal float range divide differently
+@lru_cache(maxsize=64, typed=True)
+def _generate_kernel(*ranges):
     a = ", ".join(f"a{j}" for j in range(len(ranges)))
     ranged = ("(1.0 if a{0} is M or b{0} is M"
               " else ((a{0} - b{0}) / R{0}) * ((a{0} - b{0}) / R{0}) if R{0} else 0.0)")
@@ -83,23 +90,18 @@ def row_kernel(ranges):
         f" + (m{j} or a{j} != b{j})" if rng is None else " + " + ranged.format(j)
         for j, rng in enumerate(ranges)
     )
-    hoisted = "".join(f"        m{j} = a{j} is M\n" for j, rng in enumerate(ranges) if rng is None)
+    hoisted = "".join(f"    m{j} = a{j} is M\n" for j, rng in enumerate(ranges) if rng is None)
     namespace = {f"R{j}": rng for j, rng in enumerate(ranges)}
-    namespace.update(M=MISSING, sqrt=math.sqrt, check=_check_arity)
+    namespace.update(M=MISSING, sqrt=math.sqrt)
     exec(f"""def kernel(row, rows):
-    try:
-        [{a}] = row
-{hoisted}        return [sqrt(0.0{terms}) for [{a.replace("a", "b")}] in rows]
-    except ValueError:
-        check({len(ranges)}, [row, *rows])
-        raise
+    [{a}] = row
+{hoisted}    return [sqrt(0.0{terms}) for [{a.replace("a", "b")}] in rows]
 """, namespace)
     return namespace["kernel"]
 
 
 def distance(row, other, ranges):
-    """One distance, from a kernel generated for this call (loops should
-    build row_kernel once); ArityMismatch if a side does not fit ranges."""
+    _check_arity(len(ranges), [row, other])
     return row_kernel(ranges)(row, [other])[0]
 
 
@@ -134,7 +136,7 @@ def _sse(kernel, rows, centroids, assignment):
     return _left_sum([kernel(centroids[ci], [row])[0] ** 2 for row, ci in zip(rows, assignment)])
 
 
-def kmeans(ds, cfg, initial_centroids=None, kernel=None):
+def kmeans(ds, cfg, initial_centroids=None):
     """Lloyd iteration with seeded initialization.
 
     Initial centers are k distinct rows drawn by the seeded generator
@@ -142,8 +144,7 @@ def kmeans(ds, cfg, initial_centroids=None, kernel=None):
     assignment (nearest centroid, ties to the lowest index) and centroid
     update, and stops on a pass that changes no assignment; that
     confirming pass is counted in `iterations`. A cluster emptied along
-    the way keeps its previous centroid. `kernel` is
-    row_kernel(attribute_ranges(ds)), when the caller has built it already.
+    the way keeps its previous centroid.
     """
     rows = ds.rows
     n = len(rows)
@@ -157,11 +158,12 @@ def kmeans(ds, cfg, initial_centroids=None, kernel=None):
     if k > n:
         raise TooFewRows(f"k={k} but only {n} rows")
     ranges = attribute_ranges(ds)
-    kernel = kernel or row_kernel(ranges)
+    kernel = row_kernel(ranges)
 
     if initial_centroids is not None:
         if len(initial_centroids) != k:
             raise ValueError("need exactly k initial centroids")
+        _check_arity(len(ranges), initial_centroids)
         centroids = [list(c) for c in initial_centroids]
     else:
         centroids = [list(rows[i]) for i in Lcg(cfg.seed).choose(n, k)]
@@ -195,7 +197,9 @@ def kmeans(ds, cfg, initial_centroids=None, kernel=None):
 
 def sse(ds, model):
     """Within-cluster sum of squared distances, recomputed from scratch."""
-    return _sse(row_kernel(attribute_ranges(ds)), ds.rows, model.centroids, model.assignment)
+    ranges = attribute_ranges(ds)
+    _check_arity(len(ranges), model.centroids)
+    return _sse(row_kernel(ranges), ds.rows, model.centroids, model.assignment)
 
 
 def silhouette_mean(ds, model):
@@ -203,7 +207,7 @@ def silhouette_mean(ds, model):
     return silhouette_means(ds, [model])[0]
 
 
-def silhouette_means(ds, models, kernel=None):
+def silhouette_means(ds, models):
     """Mean silhouette coefficient of each model fitted to the rows of ds.
 
     Rows in singleton clusters score 0, as does any row whose cohesion
@@ -214,7 +218,7 @@ def silhouette_means(ds, models, kernel=None):
     """
     rows = ds.rows
     n = len(rows)
-    kernel = kernel or row_kernel(attribute_ranges(ds))
+    kernel = row_kernel(attribute_ranges(ds))
     # sums[t][i] is row i's running distance sum to cluster column t;
     # model m's cluster c is column spans[m][0] + c, as in labels[m]
     spans, labels, width = [], [], 0
@@ -267,13 +271,11 @@ def select_k(ds, cfg):
         raise TooFewRows("auto-k needs at least 2 rows")
     if cfg.k_max < 2 or cfg.k_max > n:
         raise TooFewRows(f"k_max={cfg.k_max} out of range [2, {n}]")
-    kernel = row_kernel(attribute_ranges(ds))
     models = [
-        kmeans(ds, KMeansConfig(k=k, max_iterations=cfg.max_iterations, seed=cfg.seed),
-               kernel=kernel)
+        kmeans(ds, KMeansConfig(k=k, max_iterations=cfg.max_iterations, seed=cfg.seed))
         for k in range(2, cfg.k_max + 1)
     ]
-    scores = silhouette_means(ds, models, kernel)
+    scores = silhouette_means(ds, models)
     # max() keeps the first of equal scores: ties go to the smallest k
     best = max(range(len(models)), key=scores.__getitem__)
     return models[best].chosen_k, models[best]

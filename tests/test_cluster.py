@@ -60,6 +60,30 @@ def test_distance_missing_side_is_one():
 def test_distance_arity_mismatch():
     with pytest.raises(ArityMismatch):
         distance([1.0, 2.0], [1.0], [1.0])
+    with pytest.raises(ArityMismatch):
+        distance([1.0], [1.0, 2.0], [1.0])
+
+
+def test_sse_with_wrong_width_centroids_is_arity_mismatch():
+    ds = _numeric_ds([0, 1, 10, 11])
+    model = kmeans(ds, KMeansConfig(k=2, seed=1))
+    for centers in ([[0.0, 1.0], [10.0]], [[0.0], []]):
+        with pytest.raises(ArityMismatch):
+            sse(ds, replace(model, centroids=centers))
+
+
+def test_row_kernel_is_kept_per_ranges():
+    assert row_kernel([2.0, None]) is row_kernel((2.0, None))
+    assert row_kernel([2.0, None]) is not row_kernel([3.0, None])
+    # equal int and float ranges get their own kernels: (2**53 + 1) / 3 is
+    # exact as int division, while / 3.0 rounds the dividend to 2**53 first
+    big = 2**53 + 1
+    for rng in (3, 3.0):
+        ranges = [rng, None]
+        assert row_kernel(ranges)([0, "a"], [[big, "a"]]) == [
+            oracle_distance([0, "a"], [big, "a"], ranges)
+        ]
+    assert row_kernel([3, None]) is not row_kernel([3.0, None])
 
 
 def test_centroid_arity_mismatch():
