@@ -1,5 +1,5 @@
-"""Test-side oracles: an independent ARFF well-formedness check, a
-per-character CSV tokenizer, a regex MIME part splitter, a per-pair
+"""Test-side oracles: an independent ARFF well-formedness check, an ARFF
+reader, a per-character CSV tokenizer, a regex MIME part splitter, a per-pair
 distance loop, a naive SSE recomputation, a naive silhouette, and a
 random dataset generator."""
 
@@ -98,6 +98,80 @@ def validate_arff(text):
         assert len(fields) == n_attrs, (
             f"row has {len(fields)} fields, expected {n_attrs}: {row_line!r}"
         )
+
+
+_ARFF_ESCAPES = {"\\": "\\", "'": "'", "n": "\n", "r": "\r"}
+
+
+def _arff_read_token(text, pos, stops):
+    """One ARFF token at pos: (value, was_quoted, end). A quoted token
+    undoes the writer's backslash escapes; a bare one runs to a stop
+    character or the end of the text."""
+    if text.startswith("'", pos):
+        out, i = [], pos + 1
+        while text[i] != "'":
+            if text[i] == "\\":
+                out.append(_ARFF_ESCAPES[text[i + 1]])
+                i += 2
+            else:
+                out.append(text[i])
+                i += 1
+        return "".join(out), True, i + 1
+    end = pos
+    while end < len(text) and text[end] not in stops:
+        end += 1
+    return text[pos:end], False, end
+
+
+def _arff_fields(text):
+    fields, pos = [], 0
+    while True:
+        value, quoted, pos = _arff_read_token(text, pos, ",")
+        fields.append((value, quoted))
+        if pos == len(text):
+            return fields
+        assert text[pos] == ",", f"junk after a token in {text!r}"
+        pos += 1
+
+
+def read_arff(text):
+    """The dataset back from what write_arff wrote: `numeric` is a numeric
+    column, `numeric % epoch seconds` a date column, `{...}` a nominal
+    column with that domain, `string` a text column; a bare `?` is
+    missing and a quoted `'?'` is text."""
+    lines = text.split("\n")
+    assert lines.pop() == "", "ARFF output ends with a newline"
+    assert lines[0].startswith("@relation "), "must open with @relation"
+    relation, _, end = _arff_read_token(lines[0], len("@relation "), " ")
+    assert end == len(lines[0]), f"junk after the relation name: {lines[0]!r}"
+    schema, i = [], 1
+    while lines[i].startswith("@attribute "):
+        name, _, end = _arff_read_token(lines[i], len("@attribute "), " ")
+        kind = lines[i][end:]
+        if kind.startswith(" {") and kind.endswith("}"):
+            domain = tuple(v for v, _ in _arff_fields(kind[2:-1]))
+            schema.append(AttributeSpec(name, "nominal", domain))
+        else:
+            kinds = {" numeric": "numeric", " numeric % epoch seconds": "date", " string": "text"}
+            assert kind in kinds, f"bad attribute line {lines[i]!r}"
+            schema.append(AttributeSpec(name, kinds[kind]))
+        i += 1
+    assert lines[i] == "@data", "missing @data section"
+    rows = []
+    for line in lines[i + 1 :]:
+        fields = _arff_fields(line)
+        assert len(fields) == len(schema), f"row arity in {line!r}"
+        row = []
+        for (value, quoted), spec in zip(fields, schema):
+            if value == "?" and not quoted:
+                row.append(MISSING)
+            elif spec.kind in ("numeric", "date"):
+                row.append(float(value))
+            else:
+                assert quoted or spec.kind == "nominal", f"bare text cell {value!r}"
+                row.append(value)
+        rows.append(row)
+    return Dataset(schema, rows, relation)
 
 
 # ---------------------------------------------------------------------------

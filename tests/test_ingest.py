@@ -344,3 +344,27 @@ def test_parse_eml_raises_only_malformed_input(data):
 def test_extract_record_never_raises(headers, body):
     head = "".join(f"{name}: {value}\r\n" for name, value in headers)
     extract_record(parse_eml(head.encode("utf-8", "surrogatepass") + b"\r\n" + body))
+
+
+_CONTENT_TYPES = st.sampled_from([
+    "text/html", "TEXT/HTML; charset=utf-8", " text/html ;", "text/html; boundary=b",
+    "text/plain", "multipart/alternative; boundary=b", "multipart/mixed", "text/ html",
+]) | st.text(max_size=12)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["Content-Type", "content-type", "CONTENT-TYPE", "From"]), _CONTENT_TYPES),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from(["\r\n", "\n"]),
+    st.binary(max_size=40) | st.sampled_from([b"--b\r\nContent-Type: text/plain\r\n\r\nx\r\n--b--\r\n"]),
+)
+def test_top_level_html_content_type_is_a_body_part(headers, eol, body):
+    # so HTML presence can be read from body_parts alone
+    head = "".join(f"{name}: {value}{eol}" for name, value in headers)
+    raw = parse_eml(head.encode("utf-8", "surrogatepass") + eol.encode() + body)
+    ct_value = raw.get("Content-Type")
+    if ct_value and ct_value.split(";", 1)[0].strip().lower() == "text/html":
+        assert "text/html" in raw.body_parts

@@ -28,7 +28,7 @@ from mailminer import (
 
 from mailminer.tabular import _parse_csv_text
 
-from helpers import hints_for, oracle_parse_csv_text, random_dataset, validate_arff
+from helpers import hints_for, oracle_parse_csv_text, random_dataset, read_arff, validate_arff
 
 
 def _csv_text(ds):
@@ -253,3 +253,49 @@ def test_csv_roundtrip_random_small():
         text = _csv_text(ds)
         back = read_csv(io.StringIO(text), hints_for(ds), relation_name=ds.relation_name)
         assert back == ds
+
+
+# Cell text that exercises the codecs: separators, both quote characters,
+# CR/LF, the missing marker, backslashes, ARFF's comment and domain
+# characters, and anything else.
+_CODEC_TEXT = st.text(st.sampled_from(list('a ,"\'\r\n?\\%{}\u00e9')), max_size=5) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=5
+)
+# a leading byte-order mark is dropped from the first header name on read
+_CODEC_NAMES = _CODEC_TEXT.filter(lambda s: not s.startswith("\ufeff"))
+
+
+@st.composite
+def _codec_datasets(draw):
+    """Any schema of the four kinds (one column up), zero rows up, missing
+    cells in every kind, literal "?" text, and finite floats."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", "nominal", "text", "date"]), min_size=1, max_size=4))
+    names = draw(st.lists(_CODEC_NAMES, min_size=len(kinds), max_size=len(kinds), unique=True))
+    schema, cells = [], []
+    for name, kind in zip(names, kinds):
+        if kind == "nominal":
+            domain = tuple(draw(st.lists(_CODEC_TEXT, min_size=1, max_size=4, unique=True)))
+            schema.append(AttributeSpec(name, kind, domain))
+            values = st.sampled_from(domain)
+        else:
+            schema.append(AttributeSpec(name, kind))
+            values = _CODEC_TEXT if kind == "text" else st.floats(allow_nan=False, allow_infinity=False)
+        cells.append(st.just(MISSING) | values)
+    rows = draw(st.lists(st.tuples(*cells).map(list), max_size=6))
+    return Dataset(schema, rows, draw(_CODEC_TEXT))
+
+
+@given(_codec_datasets())
+def test_csv_roundtrip_is_identity(ds):
+    back = read_csv(io.StringIO(_csv_text(ds)), hints_for(ds), relation_name=ds.relation_name)
+    assert back == ds
+
+
+@given(_codec_datasets())
+def test_arff_reads_back_to_the_dataset(ds):
+    assert read_arff(_arff_text(ds)) == ds
+
+
+def test_arff_date_column_is_numeric_epoch_seconds():
+    ds = Dataset([AttributeSpec("Date", "date")], [[1.5], [MISSING]], "emails")
+    assert _arff_text(ds) == "@relation emails\n@attribute Date numeric % epoch seconds\n@data\n1.5\n?\n"
