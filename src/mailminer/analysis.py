@@ -4,10 +4,9 @@ rounded percentages, top-sender rankings, and text/CSV/SVG rendering."""
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 from .core import MISSING, UnsupportedFormat
-from .tabular import DuplicateProfile, format_csv_row
+from .tabular import DuplicateProfile, _open_sink, format_csv_row
 
 UNKNOWN_SENDER = "(unknown)"
 
@@ -154,9 +153,5 @@ def render_report(report, fmt, sink):
         lines = [format_csv_row(row) for row in rows]
     else:
         lines = _svg_bars(bars)
-    payload = "\n".join(lines) + "\n"
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as f:
-            f.write(payload)
-    else:
-        sink.write(payload)
+    with _open_sink(sink) as f:
+        f.write("\n".join(lines) + "\n")

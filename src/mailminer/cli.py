@@ -29,6 +29,7 @@ from .core import (
 from .ingest import scan_corpus
 from .tabular import (
     CANONICAL_ATTRIBUTES,
+    CANONICAL_HINTS,
     duplicate_profile,
     filter_discretize,
     filter_randomize,
@@ -46,9 +47,6 @@ EXIT_DATA = 2
 EXIT_IO = 3
 
 log = logging.getLogger("mailminer")
-
-# Kind hints applied whenever a CSV carries the canonical email columns.
-CANONICAL_HINTS = {"Date": "numeric", "HTML": ("nominal", ("yes", "no"))}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,7 +1,8 @@
 """Mixed-type k-means with a fixed-k mode and silhouette-based auto-k.
 
-`attribute_ranges` is the one place that reads the column kinds: each
-numeric/date column gets its range, each nominal/text column None.
+`attribute_ranges` is the one place here that reads the column kinds:
+each number column (`AttributeSpec.is_number`) gets its range, each
+other column None.
 Distance is the Euclidean combination of per-attribute differences:
 |x - c| / range for numeric/date cells (0 for a constant column), 0 on
 match and 1 on mismatch for the rest, and 1 if either side is missing.
@@ -48,12 +49,12 @@ class ClusterModel:
 
 
 def attribute_ranges(ds):
-    """Per column: max - min over the non-missing cells of a numeric/date
-    column (0.0 when there are none), or None for a nominal/text column."""
+    """Per column: max - min over the non-missing cells of a number column
+    (0.0 when there are none), or None for a nominal/text column."""
     _check_arity(len(ds.schema), ds.rows)
     ranges = []
     for j, spec in enumerate(ds.schema):
-        if spec.kind in ("numeric", "date"):
+        if spec.is_number:
             values = [row[j] for row in ds.rows if row[j] is not MISSING]
             ranges.append(max(values) - min(values) if values else 0.0)
         else:

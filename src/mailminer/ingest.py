@@ -312,10 +312,8 @@ def extract_record(raw):
         if decoded:
             subject = decoded
 
-    ct_value = raw.get("Content-Type")
-    has_html = bool(ct_value and _main_type(ct_value) == "text/html")
-    has_html = has_html or "text/html" in raw.body_parts
-
+    # a top-level text/html content type is one of the body parts too
+    has_html = "text/html" in raw.body_parts
     return EmailRecord(date, message_id, tuple(cc), from_addr, subject, has_html)
 
 

@@ -5,10 +5,12 @@ nominal/text columns, MISSING for absent values. Datasets are treated as
 immutable; every filter returns a fresh copy.
 """
 
+import contextlib
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .core import (
@@ -22,9 +24,6 @@ from .core import (
 from .rng import Lcg
 
 KINDS = ("numeric", "nominal", "text", "date")
-
-# The six canonical email attributes, in schema order.
-CANONICAL_ATTRIBUTES = ("Date", "MessageId", "CC", "From", "Subject", "HTML")
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,29 @@ class AttributeSpec:
             raise ValueError("only nominal attributes carry a domain")
         object.__setattr__(self, "nominal_domain", tuple(self.nominal_domain))
 
+    @property
+    def is_number(self):
+        """Numeric and date cells are floats; nominal and text cells are
+        labels, compared only for equality."""
+        return self.kind in ("numeric", "date")
+
+
+# The six canonical email attributes, in schema order.
+CANONICAL_SCHEMA = (
+    AttributeSpec("Date", "numeric"),  # UTC epoch seconds
+    AttributeSpec("MessageId", "text"),
+    AttributeSpec("CC", "text"),
+    AttributeSpec("From", "text"),
+    AttributeSpec("Subject", "text"),
+    AttributeSpec("HTML", "nominal", ("yes", "no")),
+)
+CANONICAL_ATTRIBUTES = tuple(spec.name for spec in CANONICAL_SCHEMA)
+# The read_csv kind hints that read the canonical columns back; text needs none.
+CANONICAL_HINTS = {
+    spec.name: ("nominal", spec.nominal_domain) if spec.kind == "nominal" else spec.kind
+    for spec in CANONICAL_SCHEMA
+    if spec.kind != "text"
+}
 
 @dataclass
 class Dataset:
@@ -69,9 +91,6 @@ class Dataset:
                 return i
         raise UnknownAttribute(f"no attribute named {name!r}")
 
-    def copy(self):
-        return Dataset(list(self.schema), [list(r) for r in self.rows], self.relation_name)
-
 
 @dataclass(frozen=True)
 class DuplicateProfile:
@@ -80,11 +99,20 @@ class DuplicateProfile:
     n_identical: int
 
 
-def records_to_dataset(records, selected=CANONICAL_ATTRIBUTES):
-    """Build a dataset from EmailRecords, one row per record.
+# Each canonical attribute's cell of an EmailRecord.
+_CELL_OF = {
+    "Date": lambda rec: MISSING if rec.date is MISSING else float(rec.date),
+    "MessageId": attrgetter("message_id"),
+    "CC": lambda rec: ";".join(rec.cc) if rec.cc else MISSING,
+    "From": attrgetter("from_addr"),
+    "Subject": attrgetter("subject"),
+    "HTML": lambda rec: "yes" if rec.has_html else "no",
+}
 
-    Date becomes a numeric column (UTC epoch seconds), HTML a nominal
-    yes/no column, everything else text. CC lists are flattened to one
+
+def records_to_dataset(records, selected=CANONICAL_ATTRIBUTES):
+    """Build a dataset from EmailRecords, one row per record, with the
+    selected columns of CANONICAL_SCHEMA. CC lists are flattened to one
     semicolon-joined string; an empty CC list is missing.
     """
     selected = list(selected)
@@ -93,33 +121,9 @@ def records_to_dataset(records, selected=CANONICAL_ATTRIBUTES):
     for name in selected:
         if name not in CANONICAL_ATTRIBUTES:
             raise UnknownAttribute(f"unknown attribute {name!r}")
-
-    schema = []
-    for name in selected:
-        if name == "Date":
-            schema.append(AttributeSpec(name, "numeric"))
-        elif name == "HTML":
-            schema.append(AttributeSpec(name, "nominal", ("yes", "no")))
-        else:
-            schema.append(AttributeSpec(name, "text"))
-
-    rows = []
-    for rec in records:
-        row = []
-        for name in selected:
-            if name == "Date":
-                row.append(MISSING if rec.date is MISSING else float(rec.date))
-            elif name == "MessageId":
-                row.append(rec.message_id)
-            elif name == "CC":
-                row.append(";".join(rec.cc) if rec.cc else MISSING)
-            elif name == "From":
-                row.append(rec.from_addr)
-            elif name == "Subject":
-                row.append(rec.subject)
-            else:  # HTML
-                row.append("yes" if rec.has_html else "no")
-        rows.append(row)
+    schema = [CANONICAL_SCHEMA[CANONICAL_ATTRIBUTES.index(name)] for name in selected]
+    cells = [_CELL_OF[name] for name in selected]
+    rows = [[cell(rec) for cell in cells] for rec in records]
     return Dataset(schema, rows, relation_name="emails")
 
 
@@ -138,31 +142,34 @@ def format_csv_row(values):
     return ",".join(format_csv_field(str(v)) for v in values)
 
 
-def _serialize_cell(value, spec):
-    if value is MISSING:
-        return "?"
-    if spec.kind in ("numeric", "date"):
-        return repr(float(value))
-    return format_csv_field(value)
+def _number_text(value):
+    return repr(float(value))
 
 
-def _open_sink(sink, mode="w"):
+def _open_sink(sink):
+    """A path opened for UTF-8 text, or a stream left open, as a context."""
     if isinstance(sink, (str, Path)):
-        return open(sink, mode, encoding="utf-8", newline=""), True
-    return sink, False
+        return open(sink, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sink)
+
+
+def _write_rows(f, ds, nominal_text, text_text):
+    """One line per row: numbers by repr, nominal and text cells by their
+    own function, missing cells as a bare "?"."""
+    formats = [
+        _number_text if spec.is_number else nominal_text if spec.kind == "nominal" else text_text
+        for spec in ds.schema
+    ]
+    for row in ds.rows:
+        f.write(",".join("?" if v is MISSING else fmt(v) for v, fmt in zip(row, formats)) + "\n")
 
 
 def write_csv(ds, sink):
     """Write a dataset as UTF-8 CSV with LF line endings; missing cells
     are a bare unquoted "?"."""
-    f, close = _open_sink(sink)
-    try:
+    with _open_sink(sink) as f:
         f.write(format_csv_row(ds.attribute_names()) + "\n")
-        for row in ds.rows:
-            f.write(",".join(_serialize_cell(v, s) for v, s in zip(row, ds.schema)) + "\n")
-    finally:
-        if close:
-            f.close()
+        _write_rows(f, ds, format_csv_field, format_csv_field)
 
 
 # One field per match: an optional quoted part ("" escapes a quote; an
@@ -190,36 +197,47 @@ def _parse_csv_text(text):
     return rows
 
 
-def _typed_cell(value, was_quoted, hint, col_name, lineno):
-    if value == "?" and not was_quoted:
-        return MISSING
-    if hint in (None, "text"):
-        return value
-    if hint in ("numeric", "date"):
-        try:
-            number = float(value)
-        except ValueError:
-            number = math.nan
-        if not math.isfinite(number):
-            raise MalformedInput(
-                f"line {lineno}, column {col_name!r}: not a finite number: {value!r}"
-            )
-        return number
+def _hinted_spec(name, hint):
+    """The column a read_csv kind hint asks for; no hint means text."""
+    if hint is None or (hint in KINDS and hint != "nominal"):  # nominal needs its domain
+        return AttributeSpec(name, hint or "text")
     if isinstance(hint, (tuple, list)) and len(hint) == 2 and hint[0] == "nominal":
-        if value not in hint[1]:
-            raise MalformedInput(
-                f"line {lineno}, column {col_name!r}: not in the nominal domain: {value!r}"
-            )
+        return AttributeSpec(name, "nominal", tuple(hint[1]))
+    raise ValueError(f"unknown kind hint for {name}: {hint!r}")
+
+
+def _cell_parser(spec):
+    """value -> cell for one column's present cells; a bad value raises
+    ValueError naming the column."""
+    def bad(value, what):
+        return ValueError(f"column {spec.name!r}: {what}: {value!r}")
+
+    def number(value):
+        try:
+            x = float(value)
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
+            raise bad(value, "not a finite number")
+        return x
+
+    domain = frozenset(spec.nominal_domain)
+
+    def label(value):
+        if value not in domain:
+            raise bad(value, "not in the nominal domain")
         return value
-    raise ValueError(f"unknown kind hint for {col_name}: {hint!r}")
+
+    return number if spec.is_number else label if spec.kind == "nominal" else str
 
 
 def read_csv(source, kind_hints=None, relation_name="data"):
     """Read a header-first CSV into a Dataset.
 
     kind_hints maps column names to "numeric", "date", "text" or
-    ("nominal", domain); unhinted columns are text. With hints matching
-    the original schema, write_csv -> read_csv is an identity.
+    ("nominal", domain); unhinted columns are text, and any other hint
+    for a header column raises ValueError. With hints matching the
+    original schema, write_csv -> read_csv is an identity.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as f:
@@ -238,16 +256,8 @@ def read_csv(source, kind_hints=None, relation_name="data"):
         raise MalformedInput("empty CSV input: no header row")
     header = [v for v, _ in parsed[0]]
     hints = dict(kind_hints or {})
-
-    schema = []
-    for name in header:
-        hint = hints.get(name)
-        if hint in ("numeric", "date"):
-            schema.append(AttributeSpec(name, hint))
-        elif isinstance(hint, (tuple, list)) and len(hint) == 2 and hint[0] == "nominal":
-            schema.append(AttributeSpec(name, "nominal", tuple(hint[1])))
-        else:
-            schema.append(AttributeSpec(name, "text"))
+    schema = [_hinted_spec(name, hints.get(name)) for name in header]
+    parsers = [_cell_parser(spec) for spec in schema]
 
     rows = []
     lineno = 1
@@ -258,12 +268,12 @@ def read_csv(source, kind_hints=None, relation_name="data"):
             raise RaggedRow(
                 f"line {lineno}: {len(fields)} fields, header has {len(header)}"
             )
-        rows.append(
-            [
-                _typed_cell(v, q, hints.get(name), name, lineno)
-                for (v, q), name in zip(fields, header)
-            ]
-        )
+        try:
+            rows.append(
+                [MISSING if v == "?" and not q else parse(v) for (v, q), parse in zip(fields, parsers)]
+            )
+        except ValueError as exc:
+            raise MalformedInput(f"line {lineno}, {exc}") from None
     return Dataset(schema, rows, relation_name=relation_name)
 
 
@@ -297,36 +307,18 @@ def write_arff(ds, sink):
     comment). Text cells are always single-quoted, quotes escaped with a
     backslash; missing cells are "?".
     """
-    f, close = _open_sink(sink)
-    try:
+    with _open_sink(sink) as f:
         f.write(f"@relation {_arff_token(ds.relation_name)}\n")
         for spec in ds.schema:
-            name = _arff_token(spec.name)
-            if spec.kind == "numeric":
-                f.write(f"@attribute {name} numeric\n")
-            elif spec.kind == "date":
-                f.write(f"@attribute {name} numeric % epoch seconds\n")
+            if spec.is_number:
+                kind = "numeric % epoch seconds" if spec.kind == "date" else "numeric"
             elif spec.kind == "nominal":
-                domain = ",".join(_arff_token(v) for v in spec.nominal_domain)
-                f.write(f"@attribute {name} {{{domain}}}\n")
+                kind = "{" + ",".join(_arff_token(v) for v in spec.nominal_domain) + "}"
             else:
-                f.write(f"@attribute {name} string\n")
+                kind = "string"
+            f.write(f"@attribute {_arff_token(spec.name)} {kind}\n")
         f.write("@data\n")
-        for row in ds.rows:
-            out = []
-            for value, spec in zip(row, ds.schema):
-                if value is MISSING:
-                    out.append("?")
-                elif spec.kind in ("numeric", "date"):
-                    out.append(repr(float(value)))
-                elif spec.kind == "nominal":
-                    out.append(_arff_token(value))
-                else:
-                    out.append(_arff_quote(value))
-            f.write(",".join(out) + "\n")
-    finally:
-        if close:
-            f.close()
+        _write_rows(f, ds, _arff_token, _arff_quote)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +361,7 @@ def filter_discretize(ds, name, n_bins):
     """
     j = ds.column_index(name)
     spec = ds.schema[j]
-    if spec.kind not in ("numeric", "date"):
+    if not spec.is_number:
         raise NotNumeric(f"attribute {name!r} is {spec.kind}, not numeric")
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")

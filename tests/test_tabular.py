@@ -107,17 +107,48 @@ def test_csv_tokenizer_matches_per_character_oracle(text):
 
 
 _BAD_CELLS = [("numeric", c) for c in ("nan", "inf", "-Infinity", "abc", "")] + [
-    (("nominal", ("yes", "no")), c) for c in ("maybe", "Yes", "")
-]
+    ("date", "1e999"),
+] + [(("nominal", ("yes", "no")), c) for c in ("maybe", "Yes", "")]
 
 
 @pytest.mark.parametrize(
-    "hint,cell", _BAD_CELLS, ids=[c if h == "numeric" else f"nominal-{c}" for h, c in _BAD_CELLS]
+    "hint,cell", _BAD_CELLS, ids=[c if h == "numeric" else f"{h}-{c}" if h == "date" else f"nominal-{c}" for h, c in _BAD_CELLS]
 )
 def test_csv_bad_numeric_cell_names_line_and_column(hint, cell):
     text = f'y,x\n"a\nb",?\nb,{cell}\n'
-    with pytest.raises(MalformedInput, match=r"line 4, column 'x'"):
+    what = "not in the nominal domain" if hint[0] == "nominal" else "not a finite number"
+    with pytest.raises(MalformedInput) as info:
         read_csv(io.StringIO(text), {"x": hint})
+    assert str(info.value) == f"line 4, column 'x': {what}: {cell!r}"
+
+
+# A hint is read when the header is, so a bad one fails whatever the rows
+# hold; it used to pass unnoticed over missing cells and raise at the
+# first present one.
+@pytest.mark.parametrize("text", ["A,B\n?,x\n", "A,B\n1,x\n", "A,B\n", "A,B"])
+@pytest.mark.parametrize("hint", ["bogus", "nominal", ("nominal",), ("numeric", ("a",)), ""])
+def test_unknown_kind_hint_is_rejected_at_the_header(text, hint):
+    with pytest.raises(ValueError) as info:
+        read_csv(io.StringIO(text), kind_hints={"A": hint})
+    assert str(info.value) == f"unknown kind hint for A: {hint!r}"
+
+
+def test_kind_hints_accept_every_form():
+    hints = {"n": "numeric", "d": "date", "t": "text", "l": ["nominal", ["a", "b"]], "u": None}
+    ds = read_csv(io.StringIO("n,d,t,l,u,v\n1,2,3,a,5,6\n"), hints)
+    assert [spec.kind for spec in ds.schema] == ["numeric", "date", "text", "nominal", "text", "text"]
+    assert ds.schema[3].nominal_domain == ("a", "b")
+    assert ds.rows == [[1.0, 2.0, "3", "a", "5", "6"]]
+
+
+def test_canonical_hints_read_the_canonical_schema_back():
+    from mailminer import cli
+    from mailminer.tabular import CANONICAL_HINTS, CANONICAL_SCHEMA
+
+    assert cli.CANONICAL_HINTS is CANONICAL_HINTS
+    assert CANONICAL_HINTS == {"Date": "numeric", "HTML": ("nominal", ("yes", "no"))}
+    ds = read_csv(io.StringIO(",".join(CANONICAL_ATTRIBUTES) + "\n"), CANONICAL_HINTS)
+    assert ds.schema == list(CANONICAL_SCHEMA)
 
 
 @pytest.mark.parametrize("source", ["path", "stream"])
