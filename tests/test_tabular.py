@@ -67,6 +67,20 @@ def test_records_to_dataset_kinds(corpus_dataset):
     assert kinds["Subject"] == "text"
 
 
+def test_records_to_dataset_cells():
+    from mailminer.ingest import EmailRecord
+
+    records = [
+        EmailRecord(1700000000, "id@x", ("a@x", "b@y"), "f@x", "hi", True),
+        EmailRecord(MISSING, MISSING, (), MISSING, MISSING, False),
+    ]
+    assert records_to_dataset(records).rows == [
+        [1700000000.0, "id@x", "a@x;b@y", "f@x", "hi", "yes"],
+        [MISSING, MISSING, MISSING, MISSING, MISSING, "no"],
+    ]
+    assert records_to_dataset(records, ["HTML", "CC"]).rows == [["yes", "a@x;b@y"], ["no", MISSING]]
+
+
 def test_records_to_dataset_unknown_attribute(corpus_records):
     with pytest.raises(UnknownAttribute):
         records_to_dataset(corpus_records, ["Color"])
