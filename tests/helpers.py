@@ -1,7 +1,6 @@
-"""Test-side oracles: an independent ARFF well-formedness check, an ARFF
-reader, a per-character CSV tokenizer, a regex MIME part splitter, a per-pair
-distance loop, a naive SSE recomputation, a naive silhouette, and a
-random dataset generator."""
+"""Test-side oracles: an ARFF reader, a per-character CSV tokenizer, a
+regex MIME part splitter, a per-pair distance loop, a naive SSE
+recomputation, a naive silhouette, and a random dataset generator."""
 
 import math
 import operator
@@ -13,91 +12,7 @@ from mailminer import AttributeSpec, Dataset, MISSING
 
 
 # ---------------------------------------------------------------------------
-# ARFF well-formedness
-
-
-def _strip_inline_comment(text):
-    idx = text.find(" %")
-    return text[:idx] if idx >= 0 else text
-
-
-def _take_token(text):
-    """One ARFF token (quoted or bare) off the front; returns (token, rest)."""
-    text = text.lstrip()
-    if text.startswith("'"):
-        i = 1
-        while i < len(text):
-            if text[i] == "\\":
-                i += 2
-            elif text[i] == "'":
-                return text[1:i], text[i + 1 :]
-            else:
-                i += 1
-        raise AssertionError(f"unterminated quote in {text!r}")
-    for j, c in enumerate(text):
-        if c in " \t":
-            return text[:j], text[j:]
-    return text, ""
-
-
-def _split_arff_row(line):
-    fields = []
-    cur = []
-    in_quote = False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if in_quote:
-            if c == "\\" and i + 1 < len(line):
-                cur.append(line[i + 1])
-                i += 2
-                continue
-            if c == "'":
-                in_quote = False
-            else:
-                cur.append(c)
-            i += 1
-        elif c == "'":
-            in_quote = True
-            i += 1
-        elif c == ",":
-            fields.append("".join(cur))
-            cur = []
-            i += 1
-        else:
-            cur.append(c)
-            i += 1
-    assert not in_quote, f"unterminated quote in row {line!r}"
-    fields.append("".join(cur))
-    return fields
-
-
-def validate_arff(text):
-    """Assert header keywords, attribute declarations and row arity."""
-    lines = [l for l in text.split("\n") if l.strip()]
-    assert lines, "empty ARFF output"
-    assert lines[0].startswith("@relation "), "must open with @relation"
-    n_attrs = 0
-    i = 1
-    while i < len(lines) and lines[i].startswith("@attribute "):
-        decl = _strip_inline_comment(lines[i][len("@attribute ") :])
-        name, rest = _take_token(decl)
-        assert name, f"empty attribute name in {lines[i]!r}"
-        type_text = rest.strip()
-        if type_text.startswith("{"):
-            assert type_text.endswith("}"), f"unclosed nominal domain: {lines[i]!r}"
-            assert _split_arff_row(type_text[1:-1]), "empty nominal domain"
-        else:
-            assert type_text in ("numeric", "string"), f"bad type: {type_text!r}"
-        n_attrs += 1
-        i += 1
-    assert n_attrs > 0, "no @attribute declarations"
-    assert i < len(lines) and lines[i] == "@data", "missing @data section"
-    for row_line in lines[i + 1 :]:
-        fields = _split_arff_row(row_line)
-        assert len(fields) == n_attrs, (
-            f"row has {len(fields)} fields, expected {n_attrs}: {row_line!r}"
-        )
+# ARFF reader
 
 
 _ARFF_ESCAPES = {"\\": "\\", "'": "'", "n": "\n", "r": "\r"}

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import FIXTURE_CORPUS, run_cli
 from mailminer import cli
-from helpers import validate_arff
+from helpers import read_arff
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +54,10 @@ def test_convert_to_stdout_that_cannot_encode_exits_3(tmp_path):
     assert b"I/O error" in proc.stderr
 
 
-def test_convert_arff_is_well_formed():
+def test_convert_arff_is_well_formed(corpus_dataset):
     proc = run_cli("convert", FIXTURE_CORPUS, "--format", "arff")
     assert proc.returncode == 0
-    validate_arff(proc.stdout.decode())
+    assert read_arff(proc.stdout.decode()) == corpus_dataset
 
 
 def test_cluster_fixed_k_report(emails_csv):
