@@ -9,6 +9,7 @@ missing marker instead of failing the whole file.
 import base64
 import binascii
 import email.utils
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -21,6 +22,12 @@ _SEPARATOR = re.compile(r"\r?\n\r?\n")
 _BOUNDARY_QUOTED = re.compile(r'boundary\s*=\s*"([^"]*)"', re.IGNORECASE)
 _BOUNDARY_BARE = re.compile(r"boundary\s*=\s*([^;\s]+)", re.IGNORECASE)
 _ENCODED_WORD = re.compile(r"=\?([^?]+)\?([bBqQ])\?([^? ]*)\?=")
+# A Cc value that is only bare addr-specs, comma-separated, each piece
+# non-empty and at most padded with spaces and tabs.
+_BARE_ADDR = r"[ \t]*[A-Za-z0-9._+-]+@[A-Za-z0-9.-]+[ \t]*"
+_BARE_LIST = re.compile(f"{_BARE_ADDR}(?:,{_BARE_ADDR})*")
+# Distinct From and Cc values parsed per process; senders repeat.
+_ADDR_CACHE_SIZE = 4096
 
 # Only the B and Q encodings over these charsets are decoded; any other
 # encoded-word is kept verbatim.
@@ -266,6 +273,33 @@ def _clean_addr(addr):
     return None
 
 
+@functools.lru_cache(maxsize=_ADDR_CACHE_SIZE)
+def _from_addr(value):
+    """The cleaned addr-spec of a From value, or MISSING."""
+    _, addr = email.utils.parseaddr(decode_encoded_words(value))
+    return _clean_addr(addr) or MISSING
+
+
+@functools.lru_cache(maxsize=_ADDR_CACHE_SIZE)
+def _parsed_cc(value):
+    """The cleaned addr-specs of a Cc value, by the stdlib parser."""
+    addrs = email.utils.getaddresses([decode_encoded_words(value)])
+    return tuple(cleaned for _, addr in addrs if (cleaned := _clean_addr(addr)))
+
+
+def _cc_addrs(value):
+    """The cleaned addr-specs of a Cc value.
+
+    A value that is only bare addr-specs (see _BARE_LIST) reads as its
+    pieces, stripped and lowercased, which is what the parser makes of
+    it; every other value goes to the parser whole, because its reading
+    of one piece can depend on the others (strict parsing, gh-102988).
+    """
+    if _BARE_LIST.fullmatch(value):
+        return tuple([piece.strip() for piece in value.lower().split(",")])
+    return _parsed_cc(value)
+
+
 def extract_record(raw):
     """Reduce a RawEmail to the six canonical attributes.
 
@@ -290,20 +324,12 @@ def extract_record(raw):
         if mid:
             message_id = mid
 
-    from_addr = MISSING
     from_header = raw.get("From")
-    if from_header:
-        _, addr = email.utils.parseaddr(decode_encoded_words(from_header))
-        cleaned = _clean_addr(addr)
-        if cleaned:
-            from_addr = cleaned
+    from_addr = _from_addr(from_header) if from_header else MISSING
 
     cc = []
     for value in raw.get_all("Cc"):
-        for _, addr in email.utils.getaddresses([decode_encoded_words(value)]):
-            cleaned = _clean_addr(addr)
-            if cleaned:
-                cc.append(cleaned)
+        cc.extend(_cc_addrs(value))
 
     subject = MISSING
     subject_header = raw.get("Subject")

@@ -1,4 +1,5 @@
-"""Pinned From and CC addresses of hostile header values.
+"""Pinned From and CC addresses of hostile header values, and an oracle
+for the Cc fast path.
 
 Each case is one header value and the `from_addr` or `cc` that
 `extract_record` makes of it. CPython's address parser reads malformed
@@ -7,13 +8,19 @@ releases that took the fix): a list with one bad piece, or a trailing
 comma, then yields no address at all. Where the two readings differ, a
 case holds both results.
 
-The same check runs as a script, without pytest, so any interpreter with
-the package's (stdlib-only) imports can run it:
+`_cc_addrs` reads a Cc value made only of bare addr-specs without the
+parser. The oracle is the parser's reading of the whole value; a
+`hypothesis` property and a seeded fuzz both compare the two, on values
+biased to bare-list shapes (dots, "@@", empty pieces, blanks, "<>").
+
+The pins and the seeded fuzz also run as a script, without pytest, so
+any interpreter with the package's (stdlib-only) imports can run them:
 
     python tests/test_addresses.py --check
 """
 
 import email.utils
+import random
 import sys
 from pathlib import Path
 
@@ -22,6 +29,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from mailminer import MISSING, extract_record, parse_eml
+from mailminer.ingest import _cc_addrs, _clean_addr, _BARE_LIST, decode_encoded_words
 
 STRICT = getattr(email.utils, "supports_strict_parsing", False)
 
@@ -105,6 +113,52 @@ def _mismatches():
     ]
 
 
+def oracle_cc(value):
+    """The stdlib parser's reading of a whole Cc value, cleaned as
+    extract_record cleans it."""
+    addrs = email.utils.getaddresses([decode_encoded_words(value)])
+    return tuple(cleaned for _, addr in addrs if (cleaned := _clean_addr(addr)))
+
+
+# Fragments of Cc values: the bare-address alphabets, and the characters
+# and shapes where the parser's reading differs from a plain split.
+_LOCAL = ["a", "Z", "7", ".", "x.y", "_", "+", "-"]
+_DOMAIN = ["a", "Z", "7", ".", "-"]
+_EDGES = [".", "..", "@", "@@", " ", "\t", "", "<>", "<", ">", '"', "(", ")", ":", ";", "[", "é", "=?utf-8?q?x?="]
+
+
+def _fuzz_value(rng):
+    """A Cc value of 1-4 pieces, each a bare addr-spec (its local part or
+    domain possibly empty, or all dots) padded with blanks. Half the
+    values then get edge fragments spliced in or put in place of a
+    piece."""
+    pieces = []
+    for _ in range(rng.randint(1, 4)):
+        local = "".join(rng.choice(_LOCAL) for _ in range(rng.choice([0, 1, 1, 2, 2, 3])))
+        domain = "".join(rng.choice(_DOMAIN) for _ in range(rng.choice([0, 1, 1, 2, 2, 3])))
+        pieces.append(rng.choice(["", " ", "\t"]) + local + "@" + domain + rng.choice(["", " ", "\t "]))
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(pieces))
+            at = rng.randint(0, len(pieces[i]))
+            edge = rng.choice(_EDGES)
+            pieces[i] = rng.choice([pieces[i][:at] + edge + pieces[i][at:], edge])
+    return ",".join(pieces)
+
+
+FUZZ_SEED = 8
+FUZZ_CASES = 20000
+
+
+def fuzz_cc(seed=FUZZ_SEED, cases=FUZZ_CASES):
+    """(values tried, values on the fast path, values where _cc_addrs and
+    the oracle differ)."""
+    rng = random.Random(seed)
+    values = [_fuzz_value(rng) for _ in range(cases)]
+    bad = [v for v in values if _cc_addrs(v) != oracle_cc(v)]
+    return len(values), sum(1 for v in values if _BARE_LIST.fullmatch(v)), bad
+
+
 def _main(argv):
     if argv != ["--check"]:
         print("usage: test_addresses.py --check", file=sys.stderr)
@@ -115,7 +169,14 @@ def _main(argv):
     for name, value, got, want in bad:
         print(f"{name}: {value!r} gave {got!r}, expected {want!r}")
     print(f"address pins on Python {version} ({parser} parser): " + (f"{len(bad)} MISMATCHES" if bad else "ok"))
-    return 1 if bad else 0
+    tried, bare, fuzz_bad = fuzz_cc()
+    for value in fuzz_bad[:10]:
+        print(f"Cc {value!r}: fast path {_cc_addrs(value)!r}, parser {oracle_cc(value)!r}")
+    print(
+        f"Cc oracle fuzz (seed {FUZZ_SEED}): {tried} values, {bare} bare lists, "
+        + (f"{len(fuzz_bad)} MISMATCHES" if fuzz_bad else "0 mismatches")
+    )
+    return 1 if bad or fuzz_bad else 0
 
 
 if __name__ == "__main__":
@@ -123,6 +184,7 @@ if __name__ == "__main__":
     sys.exit(_main(sys.argv[1:]))
 
 import pytest  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 
 @pytest.mark.parametrize("case", FROM_CASES, ids=[c[0] for c in FROM_CASES])
@@ -133,3 +195,21 @@ def test_from_addr_pinned(case):
 @pytest.mark.parametrize("case", CC_CASES, ids=[c[0] for c in CC_CASES])
 def test_cc_pinned(case):
     assert _field("Cc", case[0]) == _expected(case)
+
+
+_PIECES = st.one_of(
+    st.from_regex(r"[ \t]{0,2}[A-Za-z0-9._+-]{0,4}@{1,2}[A-Za-z0-9.-]{0,4}[ \t]{0,2}", fullmatch=True),
+    st.lists(st.sampled_from(_LOCAL + _EDGES), max_size=6).map("".join),
+)
+_CC_VALUES = st.lists(_PIECES, min_size=1, max_size=5).map(",".join) | st.text()
+
+
+@given(_CC_VALUES)
+def test_cc_addrs_matches_parser(value):
+    assert _cc_addrs(value) == oracle_cc(value)
+
+
+def test_cc_fuzz_matches_parser():
+    tried, bare, bad = fuzz_cc(cases=4000)
+    assert bare > tried // 10  # the fast path is exercised
+    assert bad == []
