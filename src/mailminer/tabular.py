@@ -110,10 +110,15 @@ _CELL_OF = {
 }
 
 
+def _repeated(names):
+    """The first name that occurs more than once, or None."""
+    return next((name for name, n in Counter(names).items() if n > 1), None)
+
+
 def records_to_dataset(records, selected=CANONICAL_ATTRIBUTES):
     """Build a dataset from EmailRecords, one row per record, with the
-    selected columns of CANONICAL_SCHEMA. CC lists are flattened to one
-    semicolon-joined string; an empty CC list is missing.
+    selected columns of CANONICAL_SCHEMA, each at most once. CC lists are
+    flattened to one semicolon-joined string; an empty CC list is missing.
     """
     selected = list(selected)
     if not selected:
@@ -121,6 +126,9 @@ def records_to_dataset(records, selected=CANONICAL_ATTRIBUTES):
     for name in selected:
         if name not in CANONICAL_ATTRIBUTES:
             raise UnknownAttribute(f"unknown attribute {name!r}")
+    repeated = _repeated(selected)
+    if repeated is not None:
+        raise UnknownAttribute(f"attribute {repeated!r} selected more than once")
     schema = [CANONICAL_SCHEMA[CANONICAL_ATTRIBUTES.index(name)] for name in selected]
     cells = [_CELL_OF[name] for name in selected]
     rows = [[cell(rec) for cell in cells] for rec in records]
@@ -236,8 +244,9 @@ def read_csv(source, kind_hints=None, relation_name="data"):
 
     kind_hints maps column names to "numeric", "date", "text" or
     ("nominal", domain); unhinted columns are text, and any other hint
-    for a header column raises ValueError. With hints matching the
-    original schema, write_csv -> read_csv is an identity.
+    for a header column raises ValueError. A header name that occurs
+    twice is MalformedInput. With hints matching the original schema,
+    write_csv -> read_csv is an identity.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as f:
@@ -255,6 +264,10 @@ def read_csv(source, kind_hints=None, relation_name="data"):
     if not parsed:
         raise MalformedInput("empty CSV input: no header row")
     header = [v for v, _ in parsed[0]]
+    repeated = _repeated(header)
+    if repeated is not None:
+        # a second column of one name could never be selected by name
+        raise MalformedInput(f"line 1, column {repeated!r}: repeated header name")
     hints = dict(kind_hints or {})
     schema = [_hinted_spec(name, hints.get(name)) for name in header]
     parsers = [_cell_parser(spec) for spec in schema]

@@ -42,6 +42,23 @@ def test_convert_bad_attrs_exits_1_without_output(tmp_path):
     assert not out.exists()
 
 
+def test_convert_repeated_attrs_exits_1_without_output(tmp_path):
+    out = tmp_path / "x.csv"
+    proc = run_cli("convert", FIXTURE_CORPUS, "--attrs", "From,From", "--out", out)
+    assert proc.returncode == 1
+    assert b"'From' selected more than once" in proc.stderr
+    assert not out.exists()
+
+
+def test_filter_on_a_repeated_header_is_a_data_error(tmp_path):
+    dup = tmp_path / "dup.csv"
+    dup.write_text("From,From\na@x,b@y\n")
+    proc = run_cli("filter", dup, "--remove", "From")
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "mailminer: data error: line 1, column 'From': repeated header name\n"
+    assert proc.stdout == b""
+
+
 def test_convert_unreadable_directory_exits_3(tmp_path):
     proc = run_cli("convert", tmp_path / "missing")
     assert proc.returncode == 3

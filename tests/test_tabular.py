@@ -86,6 +86,14 @@ def test_records_to_dataset_unknown_attribute(corpus_records):
         records_to_dataset(corpus_records, ["Color"])
 
 
+@pytest.mark.parametrize("selected", [["From", "From"], ["Date", "From", "Date"]])
+def test_records_to_dataset_rejects_a_repeated_attribute(corpus_records, selected):
+    # read_csv refuses a repeated header, so no selection may write one
+    with pytest.raises(UnknownAttribute) as info:
+        records_to_dataset(corpus_records, selected)
+    assert str(info.value) == f"attribute {selected[0]!r} selected more than once"
+
+
 def test_csv_quoting_rule():
     text = _csv_text(_text_ds('a,"b"'))
     assert text.splitlines()[1] == '"a,""b"""'
@@ -145,6 +153,15 @@ def test_unknown_kind_hint_is_rejected_at_the_header(text, hint):
     with pytest.raises(ValueError) as info:
         read_csv(io.StringIO(text), kind_hints={"A": hint})
     assert str(info.value) == f"unknown kind hint for A: {hint!r}"
+
+
+@pytest.mark.parametrize("text", ["From,From\na,b\n", "Date,From,Date\n1,a,2\n", "x,Date,Date", "\ufeffDate,Date\n"])
+def test_csv_repeated_header_name_is_rejected(text):
+    # only the first of two same-named columns could ever be selected
+    with pytest.raises(MalformedInput) as info:
+        read_csv(io.StringIO(text), {"Date": "numeric"})
+    name = "From" if text.startswith("From") else "Date"
+    assert str(info.value) == f"line 1, column {name!r}: repeated header name"
 
 
 def test_kind_hints_accept_every_form():
