@@ -30,6 +30,7 @@ from .ingest import scan_corpus
 from .tabular import (
     CANONICAL_ATTRIBUTES,
     CANONICAL_HINTS,
+    _repeated,
     duplicate_profile,
     filter_discretize,
     filter_randomize,
@@ -129,6 +130,9 @@ def cmd_convert(args):
     for name in attrs:
         if name not in CANONICAL_ATTRIBUTES:
             return _usage(f"unknown attribute {name!r} in --attrs")
+    repeated = _repeated(attrs)
+    if repeated is not None:
+        return _usage(f"attribute {repeated!r} selected more than once in --attrs")
     result = _scan(args.dir)
     ds = records_to_dataset(result.records, attrs)
     writer = write_csv if args.format == "csv" else write_arff

@@ -26,7 +26,7 @@ _ENCODED_WORD = re.compile(r"=\?([^?]+)\?([bBqQ])\?([^? ]*)\?=")
 # non-empty and at most padded with spaces and tabs.
 _BARE_ADDR = r"[ \t]*[A-Za-z0-9._+-]+@[A-Za-z0-9.-]+[ \t]*"
 _BARE_LIST = re.compile(f"{_BARE_ADDR}(?:,{_BARE_ADDR})*")
-# Distinct From and Cc values parsed per process; senders repeat.
+# Distinct From values parsed per process; senders repeat.
 _ADDR_CACHE_SIZE = 4096
 
 # Only the B and Q encodings over these charsets are decoded; any other
@@ -280,7 +280,6 @@ def _from_addr(value):
     return _clean_addr(addr) or MISSING
 
 
-@functools.lru_cache(maxsize=_ADDR_CACHE_SIZE)
 def _parsed_cc(value):
     """The cleaned addr-specs of a Cc value, by the stdlib parser."""
     addrs = email.utils.getaddresses([decode_encoded_words(value)])

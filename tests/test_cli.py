@@ -50,6 +50,13 @@ def test_convert_repeated_attrs_exits_1_without_output(tmp_path):
     assert not out.exists()
 
 
+def test_convert_repeated_attrs_is_rejected_before_the_scan(tmp_path):
+    # an unreadable directory would exit 3 if the scan ran first
+    proc = run_cli("convert", tmp_path / "missing", "--attrs", "CC,From,CC")
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "mailminer: error: attribute 'CC' selected more than once in --attrs\n"
+
+
 def test_filter_on_a_repeated_header_is_a_data_error(tmp_path):
     dup = tmp_path / "dup.csv"
     dup.write_text("From,From\na@x,b@y\n")
