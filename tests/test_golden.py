@@ -3,7 +3,10 @@
 Each case runs `cli.main(argv)` in-process and compares stdout (and, for
 the usage-error cases, stderr) plus the exit code with the files under
 tests/golden/<corpus>/. Cluster, dupes and filter cases read the CSV that
-`convert` writes for the same corpus.
+`convert` writes for the same corpus. Every case's stderr is pinned, and
+each run sees the same GOLDEN_ENV: MAILMINER_LOG decides the diagnostic
+lines, and argparse wraps its usage lines to COLUMNS. 200 columns keep
+every usage on one line, which argparse wraps differently from 3.13 on.
 
 Regenerate the goldens (only when an output change is intended) with
 
@@ -21,6 +24,7 @@ from conftest import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPORA = {"corpus": FIXTURE_CORPUS, "dup_corpus": FIXTURE_DUP_CORPUS}
+GOLDEN_ENV = {"COLUMNS": "200", "MAILMINER_LOG": "info"}
 
 # (case name, argv); "{dir}" is the corpus directory, "{csv}" its converted CSV.
 CASES = [
@@ -44,6 +48,10 @@ ERROR_CASES = [
     ("dupes_bogus", ["dupes", "{csv}", "--attrs", "Bogus"]),
     ("filter_remove_all", ["filter", "{csv}", "--remove", "Date,MessageId,CC,From,Subject,HTML"]),
     ("filter_discretize_text", ["filter", "{csv}", "--discretize", "Subject:2"]),
+    # rejected by argparse itself
+    ("no_command", []),
+    ("cluster_k_not_int", ["cluster", "{csv}", "--k", "abc"]),
+    ("filter_two_modes", ["filter", "{csv}", "--shuffle", "--sample", "0.5"]),
 ]
 
 PARAMS = [
@@ -76,9 +84,11 @@ def csv_paths(tmp_path_factory):
 @pytest.mark.parametrize(
     "corpus,name,argv,with_stderr", PARAMS, ids=[f"{p[0]}-{p[1]}" for p in PARAMS]
 )
-def test_golden(corpus, name, argv, with_stderr, csv_paths, capsysbinary):
+def test_golden(corpus, name, argv, with_stderr, csv_paths, capsysbinary, monkeypatch):
     from mailminer import cli
 
+    for key, value in GOLDEN_ENV.items():
+        monkeypatch.setenv(key, value)
     capsysbinary.readouterr()
     code = cli.main(_argv(argv, corpus, csv_paths[corpus]))
     out, err = capsysbinary.readouterr()
@@ -98,11 +108,10 @@ def _regenerate():
             assert run_cli("convert", directory, "--out", csv_path).returncode == 0
             (GOLDEN / corpus).mkdir(parents=True, exist_ok=True)
             for name, argv in CASES + ERROR_CASES:
-                proc = run_cli(*_argv(argv, corpus, csv_path))
+                proc = run_cli(*_argv(argv, corpus, csv_path), env_extra=GOLDEN_ENV)
                 codes[f"{corpus}/{name}"] = proc.returncode
                 (GOLDEN / corpus / f"{name}.stdout").write_bytes(proc.stdout)
-                if name in dict(ERROR_CASES):
-                    (GOLDEN / corpus / f"{name}.stderr").write_bytes(proc.stderr)
+                (GOLDEN / corpus / f"{name}.stderr").write_bytes(proc.stderr)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
 
 
