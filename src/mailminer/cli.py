@@ -1,14 +1,14 @@
 """Command-line interface: convert, cluster, dupes, top-senders, filter.
 
-Machine output goes to --out or stdout; diagnostics (including the
-skip-list of unparseable files) go to stderr. Exit codes: 0 success,
-1 usage error, 2 data error, 3 I/O error. Log verbosity is controlled by
-MAILMINER_LOG (quiet, info, debug).
+Machine output goes to --out or stdout. Diagnostics, the record count
+and the unparseable files skipped, are plain lines on stderr. Exit codes:
+0 success, 1 usage error, 2 data error, 3 I/O error. MAILMINER_LOG
+(quiet, info, debug) is read on every run: quiet drops the diagnostics,
+and debug prints what info prints.
 """
 
 import argparse
 import contextlib
-import logging
 import os
 import stat
 import sys
@@ -47,31 +47,20 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
 
-log = logging.getLogger("mailminer")
+LOG_LEVELS = ("quiet", "info", "debug")
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the CLI contract says 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
-
-def _setup_logging():
+def _log_level():
+    """MAILMINER_LOG, or "info" (with a warning) for an unknown value."""
     name = os.environ.get("MAILMINER_LOG", "info")
-    level = LOG_LEVELS.get(name)
-    if level is None:
-        print(
-            f"mailminer: warning: unknown MAILMINER_LOG={name!r}, using 'info'"
-            f" (accepted: {', '.join(LOG_LEVELS)})",
-            file=sys.stderr,
-        )
-        level = logging.INFO
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
+    if name in LOG_LEVELS:
+        return name
+    print(
+        f"mailminer: warning: unknown MAILMINER_LOG={name!r}, using 'info'"
+        f" (accepted: {', '.join(LOG_LEVELS)})",
+        file=sys.stderr,
+    )
+    return "info"
 
 
 def _usage(message):
@@ -113,11 +102,12 @@ def _emit(write, out_path):
         raise
 
 
-def _scan(directory):
-    result = scan_corpus(directory)
-    log.info("records: %d  skipped: %d", len(result.records), len(result.skipped))
-    for entry in result.skipped:
-        log.warning("skipped %s: %s", entry.path, entry.reason)
+def _scan(args):
+    result = scan_corpus(args.dir)
+    if not args.quiet:
+        print(f"records: {len(result.records)}  skipped: {len(result.skipped)}", file=sys.stderr)
+        for entry in result.skipped:
+            print(f"skipped {entry.path}: {entry.reason}", file=sys.stderr)
     return result
 
 
@@ -133,7 +123,7 @@ def cmd_convert(args):
     repeated = _repeated(attrs)
     if repeated is not None:
         return _usage(f"attribute {repeated!r} selected more than once in --attrs")
-    result = _scan(args.dir)
+    result = _scan(args)
     ds = records_to_dataset(result.records, attrs)
     writer = write_csv if args.format == "csv" else write_arff
     _emit(lambda f: writer(ds, f), args.out)
@@ -173,7 +163,7 @@ def cmd_dupes(args):
 def cmd_top_senders(args):
     if args.n < 1:
         return _usage("-n must be >= 1")
-    result = _scan(args.dir)
+    result = _scan(args)
     report = top_senders(result.records, args.n)
     _emit(lambda f: render_report(report, "text", f), args.out)
     return EXIT_OK
@@ -213,7 +203,7 @@ def cmd_filter(args):
 
 
 def build_parser():
-    parser = _Parser(prog="mailminer", description=__doc__)
+    parser = argparse.ArgumentParser(prog="mailminer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="scan an .eml corpus into CSV or ARFF")
@@ -261,12 +251,13 @@ def build_parser():
 
 
 def main(argv=None):
-    _setup_logging()
+    quiet = _log_level() == "quiet"
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
+    except SystemExit as exc:  # 0 after --help; argparse exits 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    args.quiet = quiet
     try:
         return args.func(args)
     except (UnknownAttribute, EmptyResultSchema, NotNumeric) as exc:

@@ -1,31 +1,7 @@
-"""Shared value types and exceptions."""
+"""The missing marker and the exceptions every module shares."""
 
-
-class Missing:
-    """Singleton marker for an absent cell or field.
-
-    Used instead of None/"" so that missing-ness survives serialization
-    (written as a bare "?" in CSV and ARFF) and compares equal to itself.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "?"
-
-    def __bool__(self):
-        return False
-
-    def __reduce__(self):
-        return (Missing, ())
-
-
-MISSING = Missing()
+# An absent cell or field. Writers print it as a bare "?" in CSV and ARFF.
+MISSING = None
 
 
 class MailMinerError(Exception):

@@ -2,8 +2,10 @@
 
 Each message is reduced to six attributes: Date, MessageId, CC, From,
 Subject and an HTML presence flag. Header parsing is deliberately small
-and forgiving: anything that cannot be interpreted degrades to the
-missing marker instead of failing the whole file.
+and forgiving: anything that cannot be interpreted degrades to MISSING
+(None) instead of failing the whole file. Only Subject is decoded from
+RFC 2047 encoded-words; From and Cc addresses are read from the raw
+header value.
 """
 
 import base64
@@ -51,11 +53,7 @@ class RawEmail:
 
     def get(self, name):
         """First header value with the given name, case-insensitive."""
-        low = name.lower()
-        for hname, value in self.headers:
-            if hname.lower() == low:
-                return value
-        return None
+        return _first_header(self.headers, name)
 
     def get_all(self, name):
         low = name.lower()
@@ -103,11 +101,24 @@ def _parse_header_block(text):
     return headers
 
 
-def _content_type(headers_pairs):
-    for name, value in headers_pairs:
-        if name.lower() == "content-type":
+def _first_header(headers, name):
+    """The first value of the named header in (name, value) pairs,
+    case-insensitive, or None."""
+    low = name.lower()
+    for hname, value in headers:
+        if hname.lower() == low:
             return value
     return None
+
+
+def _split_head(text):
+    """Text cut at its first blank line (CRLF or LF endings) into its
+    header pairs and the body after the line; with no blank line, all of
+    the text is header and the body is None."""
+    m = _SEPARATOR.search(text)
+    if m is None:
+        return _parse_header_block(text), None
+    return _parse_header_block(text[: m.start()]), text[m.end():]
 
 
 def _main_type(ct_value):
@@ -165,17 +176,10 @@ def _split_body(body_text, ct_value):
         if boundary:
             parts = []
             for segment in _split_segments(body_text, boundary):
-                segment = segment.lstrip("\r\n")
-                m = _SEPARATOR.search(segment)
-                if m:
-                    part_headers = _parse_header_block(segment[: m.start()])
-                    part_body = segment[m.end():]
-                else:
-                    part_headers = _parse_header_block(segment)
-                    part_body = ""
-                part_ct = _content_type(part_headers)
+                part_headers, part_body = _split_head(segment.lstrip("\r\n"))
+                part_ct = _first_header(part_headers, "Content-Type")
                 if part_ct and _main_type(part_ct).startswith("multipart/"):
-                    parts.extend(_split_body(part_body, part_ct))
+                    parts.extend(_split_body(part_body or "", part_ct))
                 else:
                     parts.append(_main_type(part_ct) if part_ct else "text/plain")
             if parts:
@@ -190,22 +194,13 @@ def parse_eml(data, source_path=None):
     are both accepted. Raises MalformedInput when there is neither a
     header/body separator nor a single parseable header line.
     """
-    text = data.decode("latin-1")
-    m = _SEPARATOR.search(text)
-    if m:
-        header_text, body_text = text[: m.start()], text[m.end():]
-        had_separator = True
-    else:
-        header_text, body_text = text, ""
-        had_separator = False
-    headers = _parse_header_block(header_text)
-    if not headers and not had_separator:
+    headers, body_text = _split_head(data.decode("latin-1"))
+    if not headers and body_text is None:
         raise MalformedInput(
             f"not an email message: no header/body separator and no header line"
             + (f" in {source_path}" if source_path else "")
         )
-    ct_value = _content_type(headers)
-    parts = _split_body(body_text, ct_value)
+    parts = _split_body(body_text or "", _first_header(headers, "Content-Type"))
     return RawEmail(source_path, tuple(headers), tuple(parts))
 
 
@@ -268,22 +263,17 @@ def decode_encoded_words(value):
 
 def _clean_addr(addr):
     addr = addr.strip().lower()
-    if addr.count("@") == 1:
-        return addr
-    return None
+    return addr if addr.count("@") == 1 else MISSING
 
 
+# From and Cc values are parsed as they stand: an encoded-word can only be
+# a display-name word (RFC 2047 §5), and the display name is not kept, so
+# nothing needs decoding. Decoding first would let an encoded comma or
+# angle bracket split the value.
 @functools.lru_cache(maxsize=_ADDR_CACHE_SIZE)
 def _from_addr(value):
     """The cleaned addr-spec of a From value, or MISSING."""
-    _, addr = email.utils.parseaddr(decode_encoded_words(value))
-    return _clean_addr(addr) or MISSING
-
-
-def _parsed_cc(value):
-    """The cleaned addr-specs of a Cc value, by the stdlib parser."""
-    addrs = email.utils.getaddresses([decode_encoded_words(value)])
-    return tuple(cleaned for _, addr in addrs if (cleaned := _clean_addr(addr)))
+    return _clean_addr(email.utils.parseaddr(value)[1])
 
 
 def _cc_addrs(value):
@@ -296,7 +286,8 @@ def _cc_addrs(value):
     """
     if _BARE_LIST.fullmatch(value):
         return tuple([piece.strip() for piece in value.lower().split(",")])
-    return _parsed_cc(value)
+    addrs = email.utils.getaddresses([value])
+    return tuple(cleaned for _, addr in addrs if (cleaned := _clean_addr(addr)))
 
 
 def extract_record(raw):

@@ -1,8 +1,9 @@
 """Typed dataset container with CSV/ARFF serialization and filters.
 
 Cells are plain Python values: float for numeric/date columns, str for
-nominal/text columns, MISSING for absent values. Datasets are treated as
-immutable; every filter returns a fresh copy.
+nominal/text columns, MISSING (None) for absent values, written as a
+bare "?". Datasets are treated as immutable; every filter returns a
+fresh copy.
 """
 
 import contextlib

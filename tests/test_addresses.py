@@ -29,7 +29,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from mailminer import MISSING, extract_record, parse_eml
-from mailminer.ingest import _cc_addrs, _clean_addr, _BARE_LIST, decode_encoded_words
+from mailminer.ingest import _cc_addrs, _clean_addr, _BARE_LIST
 
 STRICT = getattr(email.utils, "supports_strict_parsing", False)
 
@@ -42,9 +42,12 @@ FROM_CASES = [
     ("undisclosed-recipients:;", MISSING),
     ("Group: a@x, b@y;", "a@x", MISSING),
     ("=?utf-8?q?J=C3=B6rg?= <JO@X.org>", "jo@x.org"),
-    # encoded-words are decoded before the address is parsed, so an
-    # encoded comma ("Doe, J") splits the display name
-    ("=?utf-8?b?RG9lLCBK?= <j@x>", MISSING),
+    # the value is parsed as it stands, so an encoded comma ("Doe, J")
+    # stays inside its display name
+    ("=?utf-8?b?RG9lLCBK?= <j@x>", "j@x"),
+    # an encoded-word is a display-name word only (RFC 2047 §5), so an
+    # encoded addr-spec ("a@x") is no address
+    ("=?utf-8?q?a=40x?=", MISSING),
     ("a@x", "a@x"),
     ("A@X.Com", "a@x.com"),
     ("<a@x>", "a@x"),
@@ -69,6 +72,7 @@ CC_CASES = [
     ("Team: a@x, b@y;", ("a@x", "b@y")),
     ("=?utf-8?b?w4RsZg==?= <a@x>, b@y", ("a@x", "b@y")),
     ("=?utf-8?q?Doe=2C_J?= <j@x>, k@y", ("j@x", "k@y")),
+    ("=?utf-8?q?a=40x?=, b@y", ("b@y",)),  # an encoded addr-spec is no address
     ("a@x,,b@y", ("a@x", "b@y")),
     ("a@x, b@y,", ("a@x", "b@y"), ()),
     (",a@x", ("a@x",)),
@@ -114,9 +118,9 @@ def _mismatches():
 
 
 def oracle_cc(value):
-    """The stdlib parser's reading of a whole Cc value, cleaned as
+    """The stdlib parser's reading of a whole raw Cc value, cleaned as
     extract_record cleans it."""
-    addrs = email.utils.getaddresses([decode_encoded_words(value)])
+    addrs = email.utils.getaddresses([value])
     return tuple(cleaned for _, addr in addrs if (cleaned := _clean_addr(addr)))
 
 

@@ -1,12 +1,17 @@
+import contextlib
 import io
+import logging
 import os
+import shutil
 import stat
+import subprocess
+import sys
 import threading
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import FIXTURE_CORPUS, run_cli
+from conftest import FIXTURE_CORPUS, SRC, run_cli
 from mailminer import cli
 from helpers import read_arff
 
@@ -222,6 +227,37 @@ def test_unknown_log_level_warns_and_falls_back_to_info():
     assert "unknown MAILMINER_LOG='verbose'" in warning
     assert "quiet, info, debug" in warning
     assert rest == plain.stderr.decode()  # info-level diagnostics still shown
+
+
+def test_diagnostics_follow_each_in_process_call(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(FIXTURE_CORPUS, corpus)
+    (corpus / "bad.eml").write_bytes(b"no header line and no blank line")
+    root_handlers = list(logging.getLogger().handlers)
+
+    def stderr_under(level):
+        monkeypatch.setenv("MAILMINER_LOG", level)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["top-senders", str(corpus)]) == 0
+        assert out.getvalue().startswith("sender count share\n")
+        return err.getvalue().splitlines()
+
+    for level in ("info", "quiet", "info"):
+        lines = stderr_under(level)
+        if level == "quiet":
+            assert lines == []
+        else:
+            assert lines[0] == "records: 7  skipped: 1"
+            assert len(lines) == 2 and lines[1].startswith("skipped bad.eml: not an email message")
+    assert logging.getLogger().handlers == root_handlers
+
+
+def test_cli_import_leaves_logging_unloaded():
+    code = "import sys, mailminer.cli; print('logging' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+    assert proc.stdout == b"False\n"
 
 
 @pytest.mark.parametrize("exc,code", [(OSError("disk full"), 3), (KeyboardInterrupt(), None)])

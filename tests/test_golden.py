@@ -1,12 +1,12 @@
 """Golden gate: CLI output on both fixture corpora, byte for byte.
 
-Each case runs `cli.main(argv)` in-process and compares stdout (and, for
-the usage-error cases, stderr) plus the exit code with the files under
-tests/golden/<corpus>/. Cluster, dupes and filter cases read the CSV that
-`convert` writes for the same corpus. Every case's stderr is pinned, and
-each run sees the same GOLDEN_ENV: MAILMINER_LOG decides the diagnostic
-lines, and argparse wraps its usage lines to COLUMNS. 200 columns keep
-every usage on one line, which argparse wraps differently from 3.13 on.
+Each case runs `cli.main(argv)` in-process and compares stdout, stderr
+and the exit code with the files under tests/golden/<corpus>/. Cluster,
+dupes and filter cases read the CSV that `convert` writes for the same
+corpus. Each run sees the same GOLDEN_ENV: MAILMINER_LOG decides the
+diagnostic lines, and argparse wraps its usage lines to COLUMNS. 200
+columns keep every usage on one line, which argparse wraps differently
+from 3.13 on.
 
 Regenerate the goldens (only when an output change is intended) with
 
@@ -43,7 +43,7 @@ CASES = [
     ("filter_discretize", ["filter", "{csv}", "--discretize", "Date:3"]),
 ]
 
-# Usage errors: stderr is part of the golden too.
+# Usage errors: exit 1 with a message on stderr.
 ERROR_CASES = [
     ("dupes_bogus", ["dupes", "{csv}", "--attrs", "Bogus"]),
     ("filter_remove_all", ["filter", "{csv}", "--remove", "Date,MessageId,CC,From,Subject,HTML"]),
@@ -54,11 +54,7 @@ ERROR_CASES = [
     ("filter_two_modes", ["filter", "{csv}", "--shuffle", "--sample", "0.5"]),
 ]
 
-PARAMS = [
-    (corpus, name, argv, name in dict(ERROR_CASES))
-    for corpus in CORPORA
-    for name, argv in CASES + ERROR_CASES
-]
+PARAMS = [(corpus, name, argv) for corpus in CORPORA for name, argv in CASES + ERROR_CASES]
 
 
 def _argv(argv, corpus, csv_path):
@@ -81,10 +77,8 @@ def csv_paths(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize(
-    "corpus,name,argv,with_stderr", PARAMS, ids=[f"{p[0]}-{p[1]}" for p in PARAMS]
-)
-def test_golden(corpus, name, argv, with_stderr, csv_paths, capsysbinary, monkeypatch):
+@pytest.mark.parametrize("corpus,name,argv", PARAMS, ids=[f"{p[0]}-{p[1]}" for p in PARAMS])
+def test_golden(corpus, name, argv, csv_paths, capsysbinary, monkeypatch):
     from mailminer import cli
 
     for key, value in GOLDEN_ENV.items():
@@ -94,8 +88,7 @@ def test_golden(corpus, name, argv, with_stderr, csv_paths, capsysbinary, monkey
     out, err = capsysbinary.readouterr()
     assert code == _exit_codes()[f"{corpus}/{name}"]
     assert out == (GOLDEN / corpus / f"{name}.stdout").read_bytes()
-    if with_stderr:
-        assert err == (GOLDEN / corpus / f"{name}.stderr").read_bytes()
+    assert err == (GOLDEN / corpus / f"{name}.stderr").read_bytes()
 
 
 def _regenerate():
