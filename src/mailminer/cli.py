@@ -14,8 +14,9 @@ import stat
 import sys
 import tempfile
 
-from .analysis import render_report, summarize, top_senders
-from .cluster import KMeansConfig, kmeans, select_k
+# Only core and tabular load with the CLI. Each subcommand imports the rest
+# of what it runs (ingest, cluster, analysis) inside its function, so
+# `--help` and `filter` start without them.
 from .core import (
     DirectoryUnreadable,
     EmptyDataset,
@@ -26,7 +27,6 @@ from .core import (
     TooFewRows,
     UnknownAttribute,
 )
-from .ingest import scan_corpus
 from .tabular import (
     CANONICAL_ATTRIBUTES,
     CANONICAL_HINTS,
@@ -103,6 +103,8 @@ def _emit(write, out_path):
 
 
 def _scan(args):
+    from .ingest import scan_corpus
+
     result = scan_corpus(args.dir)
     if not args.quiet:
         print(f"records: {len(result.records)}  skipped: {len(result.skipped)}", file=sys.stderr)
@@ -131,6 +133,9 @@ def cmd_convert(args):
 
 
 def cmd_cluster(args):
+    from .analysis import render_report, summarize
+    from .cluster import KMeansConfig, kmeans, select_k
+
     if (args.k is None) == (not args.auto_k):
         return _usage("exactly one of --k / --auto-k is required")
     if args.k is not None and args.k < 1:
@@ -151,6 +156,8 @@ def cmd_cluster(args):
 
 
 def cmd_dupes(args):
+    from .analysis import render_report
+
     attrs = _split_attrs(args.attrs)
     if not attrs:
         return _usage("--attrs must name at least one attribute")
@@ -161,6 +168,8 @@ def cmd_dupes(args):
 
 
 def cmd_top_senders(args):
+    from .analysis import render_report, top_senders
+
     if args.n < 1:
         return _usage("-n must be >= 1")
     result = _scan(args)
@@ -187,12 +196,12 @@ def cmd_filter(args):
         # columns keep their kind so discretizing them reports NotNumeric
         if name not in CANONICAL_ATTRIBUTES:
             hints[name] = "numeric"
+    if args.sample is not None and not 0 < args.sample <= 1:
+        return _usage("--sample fraction must be in (0, 1]")
     ds = read_csv(args.csv, kind_hints=hints, relation_name="emails")
     if args.remove:
         out = filter_remove(ds, _split_attrs(args.remove))
     elif args.sample is not None:
-        if not 0 < args.sample <= 1:
-            return _usage("--sample fraction must be in (0, 1]")
         out = filter_sample(ds, args.sample, args.seed)
     elif args.shuffle:
         out = filter_randomize(ds, args.seed)

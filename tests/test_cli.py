@@ -176,6 +176,17 @@ def test_filter_sample_full(emails_csv):
     assert len(proc.stdout.decode().splitlines()) == 8
 
 
+# The range is checked before the read, as cluster checks --k: neither a
+# missing file (an I/O error) nor a ragged one (a data error) is reached.
+@pytest.mark.parametrize("name,fraction", [("missing.csv", "0"), ("bad.csv", "2")])
+def test_filter_sample_range_is_checked_before_the_read(tmp_path, name, fraction):
+    (tmp_path / "bad.csv").write_text("a,b\n1\n")
+    proc = run_cli("filter", tmp_path / name, "--sample", fraction)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == b"mailminer: error: --sample fraction must be in (0, 1]\n"
+
+
 def test_filter_remove(emails_csv):
     proc = run_cli("filter", emails_csv, "--remove", "Date,MessageId,CC")
     assert proc.returncode == 0
@@ -258,6 +269,45 @@ def test_cli_import_leaves_logging_unloaded():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
     assert proc.stdout == b"False\n"
+
+
+# Runs main(argv) in a fresh interpreter and prints its exit code, then every
+# module it loaded that was not loaded before mailminer was imported.
+_LOADED_BY_MAIN = """
+import sys
+before = set(sys.modules)
+from mailminer import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before))
+"""
+# What only `convert` and `top-senders` need. pathlib is here for
+# tabular's sake: it counts only when site had not loaded it already.
+_SCAN_ONLY = {"mailminer.ingest", "email.utils", "base64", "datetime", "pathlib"}
+
+
+@pytest.mark.parametrize(
+    "argv,unloaded,loaded",
+    [
+        (["--help"], {"mailminer.cluster", "mailminer.analysis"}, set()),
+        (["filter", "{csv}", "--shuffle"], {"mailminer.cluster", "mailminer.analysis"}, set()),
+        (["dupes", "{csv}", "--attrs", "From"], set(), {"mailminer.analysis"}),
+        (["cluster", "{csv}", "--k", "2"], set(), {"mailminer.cluster", "mailminer.analysis"}),
+    ],
+    ids=["help", "filter", "dupes", "cluster"],
+)
+def test_each_subcommand_loads_only_its_own_modules(emails_csv, tmp_path, argv, unloaded, loaded):
+    argv = [a.format(csv=emails_csv) for a in argv]
+    if argv[0] != "--help":
+        argv += ["--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(SRC), MAILMINER_LOG="quiet")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_MAIN, *argv], capture_output=True, env=env, check=True
+    )
+    code, *modules = proc.stdout.decode().splitlines()[-1].split()
+    assert code == "0"
+    assert "mailminer.tabular" in modules
+    assert loaded <= set(modules)
+    assert not (_SCAN_ONLY | unloaded) & set(modules)
 
 
 @pytest.mark.parametrize("exc,code", [(OSError("disk full"), 3), (KeyboardInterrupt(), None)])

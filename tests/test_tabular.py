@@ -3,7 +3,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mailminer import (
     CANONICAL_ATTRIBUTES,
@@ -26,7 +26,7 @@ from mailminer import (
     write_csv,
 )
 
-from mailminer.tabular import _parse_csv_text
+from mailminer.tabular import _parse_csv_text, format_csv_field
 
 from helpers import hints_for, oracle_parse_csv_text, random_dataset, read_arff
 
@@ -126,6 +126,45 @@ def test_csv_accepts_crlf():
 @given(st.text(alphabet='ab,"\r\n? \u00e9'))
 def test_csv_tokenizer_matches_per_character_oracle(text):
     assert _parse_csv_text(text) == oracle_parse_csv_text(text)
+
+
+# CSV text as it mostly comes: rows of quote-free fields, now and then a
+# quoted field (which may hold commas, quotes and line breaks) or a field
+# with a quote inside it. Each row ends in LF, CRLF or a bare CR (field
+# text, not a break), and the last one may have no end at all. An empty
+# row is an empty line; an empty last field is a trailing comma.
+_PLAIN_FIELD = st.text(alphabet="ab ?\u00e9\r", max_size=4)
+_QUOTED_FIELD = st.text(alphabet='ab,"\r\n', max_size=4).map(lambda v: '"' + v.replace('"', '""') + '"')
+_INNER_QUOTE_FIELD = st.builds(
+    lambda head, tail: head + '"' + tail,
+    st.text(alphabet="ab\r", min_size=1, max_size=2),
+    st.text(alphabet='ab"', max_size=2),
+)
+_ROW = st.one_of(
+    st.lists(_PLAIN_FIELD, max_size=5),
+    st.lists(st.one_of(_PLAIN_FIELD, _QUOTED_FIELD, _INNER_QUOTE_FIELD), max_size=5),
+).map(",".join)
+_CSV_TEXT = st.builds(
+    lambda lines, last: "".join(lines) + last,
+    st.lists(st.tuples(_ROW, st.sampled_from(["\n", "\r\n", "\r"])).map("".join), max_size=6),
+    _ROW,
+)
+
+
+@given(_CSV_TEXT)
+@example('"q,1",b\nc,d\n')  # a quoted first field
+@example('a,b"c,d\n')  # a quote inside a field
+@example('a,"b\r\nc",d\r\ne\rf\n')  # CRLF, and a bare CR in a plain field
+@example("a,b,\n\nc,\r\n,")  # trailing commas, an empty line, no final newline
+def test_csv_tokenizer_matches_the_oracle_on_csv_shaped_text(text):
+    assert _parse_csv_text(text) == oracle_parse_csv_text(text)
+
+
+@given(st.one_of(st.text(), st.text(alphabet=',"\r\n?a\u00e9')))
+def test_csv_field_is_quoted_exactly_when_it_must_be(text):
+    must_quote = any(c in text for c in ',"\r\n') or text == "?"
+    expected = '"' + text.replace('"', '""') + '"' if must_quote else text
+    assert format_csv_field(text) == expected
 
 
 _BAD_CELLS = [("numeric", c) for c in ("nan", "inf", "-Infinity", "abc", "")] + [
