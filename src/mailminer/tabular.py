@@ -185,42 +185,50 @@ def write_csv(ds, sink):
 # One field per match: an optional quoted part ("" escapes a quote; an
 # unterminated quote runs to the end of the text), any text after it, and
 # the separator that ends the field. A bare CR is field text, not a break.
+# Both runs are written unrolled, x*(?:y x*)*, which matches faster than
+# the equivalent (?:x+|y)*.
 _CSV_FIELD = re.compile(
-    r'(?:"((?:[^"]+|"")*)"?|)([^,\r\n]*(?:\r(?!\n)[^,\r\n]*)*)(,|\r?\n|\Z)'
+    r'(?:"([^"]*(?:""[^"]*)*)"?|)([^,\r\n]*(?:\r(?!\n)[^,\r\n]*)*)(,|\r?\n|\Z)'
 )
 
 
 def _parse_csv_text(text):
-    """RFC 4180 parse to rows of (value, was_quoted). Accepts CRLF."""
-    rows, fields, pos, end = [], [], 0, len(text)
-    while pos < end or fields:
-        if not fields:
-            # A record starts here. The fields of its line that come before
-            # the line's first quote are plain: one split reads them.
-            newline = text.find("\n", pos)
-            stop = end if newline < 0 else newline
-            quote = text.find('"', pos, stop)
+    """RFC 4180 parse to rows of (value, was_quoted). Accepts CRLF.
+
+    The fields of a line that come before its first quote are plain, and
+    one split reads them; _CSV_FIELD reads the rest of that record.
+    """
+    rows, pos, end = [], 0, len(text)
+    quote = -1  # the first '"' at or after pos, or end if there is none
+    while pos < end:  # a record starts at pos
+        fields = []
+        if quote < pos:
+            quote = text.find('"', pos)
             if quote < 0:
-                line = text[pos:stop]
-                if newline >= 0 and line.endswith("\r"):  # the CR of a CRLF
+                quote = end
+        if quote > pos:
+            newline = text.find("\n", pos, quote)
+            if newline >= 0:  # the whole line is plain
+                line = text[pos:newline]
+                if line.endswith("\r"):  # the CR of a CRLF
                     line = line[:-1]
                 rows.append([(v, False) for v in line.split(",")])
-                pos = stop + 1
+                pos = newline + 1
                 continue
             comma = text.rfind(",", pos, quote)
             if comma >= 0:
                 fields = [(v, False) for v in text[pos:comma].split(",")]
                 pos = comma + 1
-        m = _CSV_FIELD.match(text, pos)
-        quoted, rest, sep = m.groups()
-        if quoted is None:
-            fields.append((rest, False))
-        else:
-            fields.append((quoted.replace('""', '"') + rest, True))
-        pos = m.end()
-        if sep != ",":
-            rows.append(fields)
-            fields = []
+        sep = ","
+        while sep == ",":
+            m = _CSV_FIELD.match(text, pos)
+            quoted, rest, sep = m.groups()
+            if quoted is None:
+                fields.append((rest, False))
+            else:
+                fields.append((quoted.replace('""', '"') + rest, True))
+            pos = m.end()
+        rows.append(fields)
     return rows
 
 
