@@ -12,6 +12,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 
 from .core import (
@@ -193,12 +194,13 @@ _CSV_FIELD = re.compile(
 
 
 def _parse_csv_text(text):
-    """RFC 4180 parse to rows of (value, was_quoted). Accepts CRLF.
+    """RFC 4180 parse, one record at a time: each record is a list of
+    (value, was_quoted). Accepts CRLF.
 
     The fields of a line that come before its first quote are plain, and
     one split reads them; _CSV_FIELD reads the rest of that record.
     """
-    rows, pos, end = [], 0, len(text)
+    pos, end = 0, len(text)
     quote = -1  # the first '"' at or after pos, or end if there is none
     while pos < end:  # a record starts at pos
         fields = []
@@ -212,8 +214,8 @@ def _parse_csv_text(text):
                 line = text[pos:newline]
                 if line.endswith("\r"):  # the CR of a CRLF
                     line = line[:-1]
-                rows.append([(v, False) for v in line.split(",")])
                 pos = newline + 1
+                yield [(v, False) for v in line.split(",")]
                 continue
             comma = text.rfind(",", pos, quote)
             if comma >= 0:
@@ -228,8 +230,7 @@ def _parse_csv_text(text):
             else:
                 fields.append((quoted.replace('""', '"') + rest, True))
             pos = m.end()
-        rows.append(fields)
-    return rows
+        yield fields
 
 
 def _hinted_spec(name, hint):
@@ -256,12 +257,14 @@ def _cell_parser(spec):
             raise bad(value, "not a finite number")
         return x
 
-    domain = frozenset(spec.nominal_domain)
+    # each label maps to the domain's own string, so equal cells share one object
+    domain = {v: v for v in spec.nominal_domain}
 
     def label(value):
-        if value not in domain:
+        cell = domain.get(value)
+        if cell is None:
             raise bad(value, "not in the nominal domain")
-        return value
+        return cell
 
     return number if spec.is_number else label if spec.kind == "nominal" else str
 
@@ -287,10 +290,13 @@ def read_csv(source, kind_hints=None, relation_name="data"):
     else:
         text = source.read()
     # a byte-order mark is not part of the first header name
-    parsed = _parse_csv_text(text.removeprefix("\ufeff"))
-    if not parsed:
+    text = text.removeprefix("\ufeff")
+    # each record is typed as it is parsed, so no parsed copy of the text is held
+    records = _parse_csv_text(text)
+    first = next(records, None)
+    if first is None:
         raise MalformedInput("empty CSV input: no header row")
-    header = [v for v, _ in parsed[0]]
+    header = [v for v, _ in first]
     repeated = _repeated(header)
     if repeated is not None:
         # a second column of one name could never be selected by name
@@ -300,11 +306,13 @@ def read_csv(source, kind_hints=None, relation_name="data"):
     parsers = [_cell_parser(spec) for spec in schema]
 
     def line_of(i):
-        """The line record i starts on; quoted fields may hold line breaks."""
-        return 1 + i + sum(v.count("\n") for row in parsed[:i] for v, quoted in row if quoted)
+        """The line record i starts on; quoted fields may hold line breaks.
+        It parses the first i records again, so only an error pays for it."""
+        before = islice(_parse_csv_text(text), i)
+        return 1 + i + sum(v.count("\n") for row in before for v, quoted in row if quoted)
 
     rows = []
-    for i, fields in enumerate(parsed[1:], 1):
+    for i, fields in enumerate(records, 1):
         if len(fields) != len(header):
             raise RaggedRow(
                 f"line {line_of(i)}: {len(fields)} fields, header has {len(header)}"
