@@ -1,6 +1,7 @@
-"""Test-side oracles: an ARFF reader, a per-character CSV tokenizer, a
-regex MIME part splitter, a per-pair distance loop, a naive SSE
-recomputation, a naive silhouette, and a random dataset generator."""
+"""Test-side oracles: an ARFF reader, a per-character CSV tokenizer and
+the read_csv error it implies, a regex MIME part splitter, a per-pair
+distance loop, a naive SSE recomputation, a naive silhouette, and a
+random dataset generator."""
 
 import math
 import operator
@@ -156,6 +157,38 @@ def oracle_parse_csv_text(text):
         end_field()
         end_row()
     return rows
+
+
+def oracle_read_csv_error(text, kinds):
+    """What read_csv raises on text, as (exception class name, message),
+    or None if it reads. kinds maps a column name to "numeric" or to a
+    nominal domain tuple; other columns are text. The header must name
+    each column once. Line numbers come from the list of every record,
+    the way the reader counted them before it streamed."""
+    parsed = oracle_parse_csv_text(text)
+    header = [v for v, _ in parsed[0]]
+
+    def line_of(i):
+        return 1 + i + sum(v.count("\n") for row in parsed[:i] for v, quoted in row if quoted)
+
+    for i, fields in enumerate(parsed[1:], 1):
+        if len(fields) != len(header):
+            return "RaggedRow", f"line {line_of(i)}: {len(fields)} fields, header has {len(header)}"
+        for name, (value, quoted) in zip(header, fields):
+            kind = kinds.get(name)
+            if kind is None or (value == "?" and not quoted):
+                continue
+            if kind == "numeric":
+                try:
+                    ok = math.isfinite(float(value))
+                except ValueError:
+                    ok = False
+                what = "not a finite number"
+            else:
+                ok, what = value in kind, "not in the nominal domain"
+            if not ok:
+                return "MalformedInput", f"line {line_of(i)}, column {name!r}: {what}: {value!r}"
+    return None
 
 
 # ---------------------------------------------------------------------------
