@@ -9,6 +9,7 @@ and debug prints what info prints.
 
 import argparse
 import contextlib
+import functools
 import os
 import stat
 import sys
@@ -48,6 +49,12 @@ EXIT_DATA = 2
 EXIT_IO = 3
 
 LOG_LEVELS = ("quiet", "info", "debug")
+
+# Help and usage lines are wrapped at one fixed width (what COLUMNS=200
+# gives), not at the terminal's, so the same argv prints the same bytes
+# everywhere: at narrow widths 3.13 wraps a usage line unlike 3.10-3.12.
+# Subparsers do not inherit a formatter, so each gets it too.
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=198)
 
 
 def _log_level():
@@ -212,17 +219,17 @@ def cmd_filter(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="mailminer", description=__doc__)
+    parser = argparse.ArgumentParser(prog="mailminer", description=__doc__, formatter_class=_FORMATTER)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", help="scan an .eml corpus into CSV or ARFF")
+    p = sub.add_parser("convert", help="scan an .eml corpus into CSV or ARFF", formatter_class=_FORMATTER)
     p.add_argument("dir")
     p.add_argument("--attrs", default=",".join(CANONICAL_ATTRIBUTES))
     p.add_argument("--format", choices=("csv", "arff"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("cluster", help="k-means over a converted CSV")
+    p = sub.add_parser("cluster", help="k-means over a converted CSV", formatter_class=_FORMATTER)
     p.add_argument("csv")
     p.add_argument("--k", type=int)
     p.add_argument("--auto-k", action="store_true", dest="auto_k")
@@ -233,19 +240,19 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("dupes", help="duplicate-instance profile of a CSV")
+    p = sub.add_parser("dupes", help="duplicate-instance profile of a CSV", formatter_class=_FORMATTER)
     p.add_argument("csv")
     p.add_argument("--attrs", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_dupes)
 
-    p = sub.add_parser("top-senders", help="rank sender addresses by mail count")
+    p = sub.add_parser("top-senders", help="rank sender addresses by mail count", formatter_class=_FORMATTER)
     p.add_argument("dir")
     p.add_argument("-n", type=int, default=10)
     p.add_argument("--out")
     p.set_defaults(func=cmd_top_senders)
 
-    p = sub.add_parser("filter", help="apply one preprocessing filter to a CSV")
+    p = sub.add_parser("filter", help="apply one preprocessing filter to a CSV", formatter_class=_FORMATTER)
     p.add_argument("csv")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--remove", metavar="NAMES")

@@ -4,9 +4,9 @@ Each case runs `cli.main(argv)` in-process and compares stdout, stderr
 and the exit code with the files under tests/golden/<corpus>/. Cluster,
 dupes and filter cases read the CSV that `convert` writes for the same
 corpus. Each run sees the same GOLDEN_ENV: MAILMINER_LOG decides the
-diagnostic lines, and argparse wraps its usage lines to COLUMNS. 200
-columns keep every usage on one line, which argparse wraps differently
-from 3.13 on.
+diagnostic lines. The parser wraps usage lines at a fixed width, not at
+COLUMNS, so a usage error prints the same bytes at any terminal width and
+on every Python (3.13 wraps a narrow usage line unlike 3.10-3.12).
 
 Regenerate the goldens (only when an output change is intended) with
 
@@ -43,15 +43,18 @@ CASES = [
     ("filter_discretize", ["filter", "{csv}", "--discretize", "Date:3"]),
 ]
 
+# Usage errors rejected by argparse itself: stderr starts with a usage line.
+ARGPARSE_ERROR_CASES = [
+    ("no_command", []),
+    ("cluster_k_not_int", ["cluster", "{csv}", "--k", "abc"]),
+    ("filter_two_modes", ["filter", "{csv}", "--shuffle", "--sample", "0.5"]),
+]
 # Usage errors: exit 1 with a message on stderr.
 ERROR_CASES = [
     ("dupes_bogus", ["dupes", "{csv}", "--attrs", "Bogus"]),
     ("filter_remove_all", ["filter", "{csv}", "--remove", "Date,MessageId,CC,From,Subject,HTML"]),
     ("filter_discretize_text", ["filter", "{csv}", "--discretize", "Subject:2"]),
-    # rejected by argparse itself
-    ("no_command", []),
-    ("cluster_k_not_int", ["cluster", "{csv}", "--k", "abc"]),
-    ("filter_two_modes", ["filter", "{csv}", "--shuffle", "--sample", "0.5"]),
+    *ARGPARSE_ERROR_CASES,
 ]
 
 PARAMS = [(corpus, name, argv) for corpus in CORPORA for name, argv in CASES + ERROR_CASES]
@@ -89,6 +92,19 @@ def test_golden(corpus, name, argv, csv_paths, capsysbinary, monkeypatch):
     assert code == _exit_codes()[f"{corpus}/{name}"]
     assert out == (GOLDEN / corpus / f"{name}.stdout").read_bytes()
     assert err == (GOLDEN / corpus / f"{name}.stderr").read_bytes()
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+@pytest.mark.parametrize("name,argv", ARGPARSE_ERROR_CASES, ids=[c[0] for c in ARGPARSE_ERROR_CASES])
+def test_usage_error_does_not_follow_the_terminal_width(name, argv, columns, csv_paths, capsysbinary, monkeypatch):
+    from mailminer import cli
+
+    for key, value in GOLDEN_ENV.items():
+        monkeypatch.setenv(key, value)
+    monkeypatch.setenv("COLUMNS", columns)
+    capsysbinary.readouterr()
+    assert cli.main(_argv(argv, "corpus", csv_paths["corpus"])) == 1
+    assert capsysbinary.readouterr().err == (GOLDEN / "corpus" / f"{name}.stderr").read_bytes()
 
 
 def _regenerate():
