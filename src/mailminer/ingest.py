@@ -3,8 +3,9 @@
 Each message is reduced to six attributes: Date, MessageId, CC, From,
 Subject and an HTML presence flag. Header parsing is deliberately small
 and forgiving: anything that cannot be interpreted degrades to MISSING
-(None) instead of failing the whole file. Only Subject is decoded from
-RFC 2047 encoded-words; From and Cc addresses are read from the raw
+(None) instead of failing the whole file. Header bytes are UTF-8
+(RFC 6532), with latin-1 for a line that is not. Only Subject is decoded
+from RFC 2047 encoded-words; From and Cc addresses are read from the raw
 header value.
 """
 
@@ -86,9 +87,11 @@ class ScanResult:
 
 def _parse_header_block(text):
     """Header lines to (name, value) pairs; folded continuations are
-    joined with a single space. Lines with no colon are ignored."""
+    joined with a single space. Lines with no colon are ignored. Lines
+    end at "\n" or "\r\n" only, so a form feed, U+0085 or U+2028 in a
+    value is part of it."""
     headers = []
-    for line in text.splitlines():
+    for line in text.split("\n"):  # the CR of a CRLF goes with the strip
         if not line.strip():
             continue
         if line[:1] in (" ", "\t") and headers:
@@ -187,14 +190,36 @@ def _split_body(body_text, ct_value):
     return [ctype]
 
 
+def _decode_line(line):
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError:
+        return line.decode("latin-1")
+
+
+def _decode_head(data):
+    """Header block bytes as text: UTF-8 (RFC 6532) when the whole block
+    decodes, and otherwise line by line, a line that is not UTF-8 read as
+    latin-1."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        return "\n".join([_decode_line(line) for line in data.split(b"\n")])
+
+
 def parse_eml(data, source_path=None):
     """Parse raw .eml bytes into a RawEmail.
 
     The header block ends at the first blank line; CRLF and LF endings
-    are both accepted. Raises MalformedInput when there is neither a
-    header/body separator nor a single parseable header line.
+    are both accepted. It is decoded by _decode_head; the body, which
+    only yields its MIME part types, is read as latin-1. Raises
+    MalformedInput when there is neither a header/body separator nor a
+    single parseable header line.
     """
-    headers, body_text = _split_head(data.decode("latin-1"))
+    text = data.decode("latin-1")  # one character per byte: offsets match
+    m = _SEPARATOR.search(text)
+    headers = _parse_header_block(_decode_head(data if m is None else data[: m.start()]))
+    body_text = None if m is None else text[m.end():]
     if not headers and body_text is None:
         raise MalformedInput(
             f"not an email message: no header/body separator and no header line"

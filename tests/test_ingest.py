@@ -58,6 +58,33 @@ def test_separator_without_headers_is_accepted():
     assert raw.headers == ()
 
 
+# Header bytes are UTF-8 (RFC 6532). A block that is not UTF-8 is read
+# line by line, and a line that is not UTF-8 as latin-1. Read as latin-1,
+# the "\x85" of UTF-8 "Å" (C3 85) was NEL, a line break, so the Subject
+# "Åse Berg" read "Ã".
+@pytest.mark.parametrize(
+    "head,subject",
+    [
+        ("Subject: café".encode(), "café"),
+        ("Subject: Åse Berg".encode(), "Åse Berg"),
+        (b"Subject: caf\xe9", "café"),
+        (b"Subject: caf\xe9\r\nFrom: \xc3\x85se <a@x>", "café"),
+    ],
+    ids=["utf8", "utf8-nel-byte", "latin1", "latin1-beside-utf8"],
+)
+def test_header_bytes_are_utf8_with_latin1_for_a_line_that_is_not(head, subject):
+    raw = parse_eml(head + b"\r\n\r\n.")
+    assert extract_record(raw).subject == subject
+    assert raw.get("From") in (None, "Åse <a@x>")
+
+
+# str.splitlines() also breaks at these; a header line ends only at LF or CRLF.
+@pytest.mark.parametrize("breaker", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_lf_and_crlf_end_a_header_line(breaker):
+    raw = parse_eml(f"Subject: a{breaker}b: c\r\nFrom: x@y\nCc: d@e\r\n\r\n.".encode())
+    assert raw.headers == (("Subject", f"a{breaker}b: c"), ("From", "x@y"), ("Cc", "d@e"))
+
+
 def test_from_lowercased_addr_spec():
     rec = _record(b"From: Bob <BOB@X.COM>\r\n\r\n.")
     assert rec.from_addr == "bob@x.com"
