@@ -220,7 +220,7 @@ def _canonical_row(rnd, i):
 
 def test_read_csv_holds_the_text_and_the_rows_and_nothing_between(tmp_path):
     # The peak is the decoded text plus the rows built so far. A list of
-    # every parsed record held beside them made it about 2.2 times the
+    # every parsed record held beside them made it about 2.1 times the
     # dataset that is returned.
     rnd = random.Random(2024)
     ds = Dataset(list(CANONICAL_SCHEMA), [_canonical_row(rnd, i) for i in range(2000)], "emails")
