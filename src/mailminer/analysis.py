@@ -23,7 +23,6 @@ class ClusterSummary:
     percentages: tuple  # integer percent per cluster
     iterations: int
     chosen_k: int
-    attributes: tuple
 
 
 @dataclass(frozen=True)
@@ -47,13 +46,7 @@ def _round_half_away(x):
 def summarize(model, ds):
     total = len(ds.rows)
     percentages = tuple(_round_half_away(size * 100 / total) for size in model.sizes)
-    return ClusterSummary(
-        tuple(model.sizes),
-        percentages,
-        model.iterations,
-        model.chosen_k,
-        tuple(spec.name for spec in ds.schema),
-    )
+    return ClusterSummary(tuple(model.sizes), percentages, model.iterations, model.chosen_k)
 
 
 def top_senders(records, n):

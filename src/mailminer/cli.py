@@ -8,12 +8,9 @@ and debug prints what info prints.
 """
 
 import argparse
-import contextlib
 import functools
 import os
-import stat
 import sys
-import tempfile
 
 # Only core and tabular load with the CLI. Each subcommand imports the rest
 # of what it runs (ingest, cluster, analysis) inside its function, so
@@ -75,40 +72,6 @@ def _usage(message):
     return EXIT_USAGE
 
 
-def _emit(write, out_path):
-    """Run `write(sink)` against --out or stdout.
-
-    A regular --out file is written to a temporary file in the same
-    directory and moved onto the target only when `write` returns, so a
-    failure part-way leaves the target as it was. A device or FIFO (say
-    /dev/null or /dev/stdout) is written in place: it cannot be replaced.
-    """
-    if not out_path:
-        write(sys.stdout)
-        return
-    try:
-        mode = os.stat(out_path).st_mode
-    except FileNotFoundError:  # a new file gets what open(out_path, "w") gives
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = stat.S_IFREG | (0o666 & ~umask)
-    if not stat.S_ISREG(mode):
-        with open(out_path, "w", encoding="utf-8", newline="") as f:
-            write(f)
-        return
-    target = os.path.realpath(out_path)  # through a symlink, as open() writes
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as f:
-            os.chmod(tmp, stat.S_IMODE(mode))  # mkstemp made it 0600
-            write(f)
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 def _scan(args):
     from .ingest import scan_corpus
 
@@ -135,7 +98,7 @@ def cmd_convert(args):
     result = _scan(args)
     ds = records_to_dataset(result.records, attrs)
     writer = write_csv if args.format == "csv" else write_arff
-    _emit(lambda f: writer(ds, f), args.out)
+    writer(ds, args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -158,7 +121,7 @@ def cmd_cluster(args):
         cfg = KMeansConfig(k_max=args.kmax, max_iterations=args.max_iter, seed=args.seed)
         _, model = select_k(ds, cfg)
     summary = summarize(model, ds)
-    _emit(lambda f: render_report(summary, args.report, f), args.out)
+    render_report(summary, args.report, args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -170,7 +133,7 @@ def cmd_dupes(args):
         return _usage("--attrs must name at least one attribute")
     ds = read_csv(args.csv, kind_hints=CANONICAL_HINTS, relation_name="emails")
     profile = duplicate_profile(ds, attrs)
-    _emit(lambda f: render_report(profile, "text", f), args.out)
+    render_report(profile, "text", args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -181,7 +144,7 @@ def cmd_top_senders(args):
         return _usage("-n must be >= 1")
     result = _scan(args)
     report = top_senders(result.records, args.n)
-    _emit(lambda f: render_report(report, "text", f), args.out)
+    render_report(report, "text", args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -214,7 +177,7 @@ def cmd_filter(args):
         out = filter_randomize(ds, args.seed)
     else:
         out = filter_discretize(ds, *discretize_target)
-    _emit(lambda f: write_csv(out, f), args.out)
+    write_csv(out, args.out or sys.stdout)
     return EXIT_OK
 
 

@@ -48,7 +48,6 @@ _CHARSETS = {
 class RawEmail:
     """One message split into unfolded headers and MIME body part types."""
 
-    source_path: str | None
     headers: tuple  # ((name, value), ...) in order of appearance
     body_parts: tuple  # (content_type, ...) of the leaf MIME parts
 
@@ -143,51 +142,51 @@ def _split_segments(body_text, boundary):
     and opens none. Text before the first delimiter is dropped. A segment
     starts with the "\\n" that ends its delimiter line and keeps the one
     before the next. The boundary comes from a one-line header value, so
-    it holds no "\\n".
+    it holds no "\\n", and only lines found by one search for "\\n--" +
+    boundary are looked at.
     """
-    dash = "--" + boundary
+    text = "\n" + body_text  # the first line starts after a "\n" too
+    dash = "\n--" + boundary
     segments = []
-    start = None  # offset of the open segment, if any
-    pos = 0  # offset of the current line
-    for line in body_text.split("\n"):
-        end = pos + len(line)
-        if line.startswith(dash):
-            rest = line[len(dash):]
-            close = rest.startswith("--")
-            if close:
-                rest = rest[2:]
-            if rest.endswith("\r"):
-                rest = rest[:-1]
-            if not rest.strip(" \t"):
-                if start is not None:
-                    segments.append(body_text[start:pos])
-                start = None if close else end
-        pos = end + 1
+    start = None  # offset in text of the open segment, if any
+    pos = text.find(dash)  # offset of the "\n" before a candidate line
+    while pos >= 0:
+        eol = text.find("\n", pos + len(dash))
+        if eol < 0:
+            eol = len(text)
+        rest = text[pos + len(dash) : eol]
+        close = rest.startswith("--")
+        if close:
+            rest = rest[2:]
+        if rest.endswith("\r"):
+            rest = rest[:-1]
+        if not rest.strip(" \t"):
+            if start is not None:
+                segments.append(text[start : pos + 1])
+            start = None if close else eol
+        pos = text.find(dash, eol)
     if start is not None:
-        segments.append(body_text[start:])
+        segments.append(text[start:])
     return segments
 
 
-def _split_body(body_text, ct_value):
-    """Body text to the list of its leaf parts' content types. Multipart
-    bodies are cut at their delimiter lines (see _split_segments) and
-    flattened recursively; a multipart body with no boundary parameter or
-    no part is one part of its own type, and so is everything else."""
-    ctype = _main_type(ct_value) if ct_value else "text/plain"
-    if ct_value and ctype.startswith("multipart/"):
-        boundary = _boundary(ct_value)
-        if boundary:
-            parts = []
-            for segment in _split_segments(body_text, boundary):
-                part_headers, part_body = _split_head(segment.lstrip("\r\n"))
-                part_ct = _first_header(part_headers, "Content-Type")
-                if part_ct and _main_type(part_ct).startswith("multipart/"):
-                    parts.extend(_split_body(part_body or "", part_ct))
-                else:
-                    parts.append(_main_type(part_ct) if part_ct else "text/plain")
-            if parts:
-                return parts
-    return [ctype]
+def _part_types(ct_value, body_text):
+    """The content types of a part's leaves, given its Content-Type value
+    (None if it has none) and its body. A multipart part is cut at its
+    delimiter lines (see _split_segments) and each segment is read as a
+    part of its own, recursively. A multipart part with no boundary
+    parameter or no segment is one leaf of its own type, and so is every
+    other part; a part without a Content-Type is text/plain."""
+    if not ct_value:
+        return ["text/plain"]
+    ctype = _main_type(ct_value)
+    boundary = ctype.startswith("multipart/") and _boundary(ct_value)
+    parts = []
+    if boundary:
+        for segment in _split_segments(body_text, boundary):
+            headers, body = _split_head(segment.lstrip("\r\n"))
+            parts += _part_types(_first_header(headers, "Content-Type"), body or "")
+    return parts or [ctype]
 
 
 def _decode_line(line):
@@ -225,8 +224,8 @@ def parse_eml(data, source_path=None):
             f"not an email message: no header/body separator and no header line"
             + (f" in {source_path}" if source_path else "")
         )
-    parts = _split_body(body_text or "", _first_header(headers, "Content-Type"))
-    return RawEmail(source_path, tuple(headers), tuple(parts))
+    parts = _part_types(_first_header(headers, "Content-Type"), body_text or "")
+    return RawEmail(tuple(headers), tuple(parts))
 
 
 def _decode_q(text):

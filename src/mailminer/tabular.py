@@ -10,6 +10,8 @@ import contextlib
 import math
 import os
 import re
+import stat
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -157,11 +159,40 @@ def _number_text(value):
     return repr(float(value))
 
 
+@contextlib.contextmanager
 def _open_sink(sink):
-    """A path opened for UTF-8 text, or a stream left open, as a context."""
-    if isinstance(sink, (str, os.PathLike)):
-        return open(sink, "w", encoding="utf-8", newline="")
-    return contextlib.nullcontext(sink)
+    """A stream, left open, or a path opened for UTF-8 text, as a context.
+
+    A path to a regular file is written to a temporary file in the same
+    directory and moved onto the target only when the body of the `with`
+    returns, so a failure part-way leaves the target as it was. A device
+    or FIFO (say /dev/null or /dev/stdout) is written in place: it cannot
+    be replaced.
+    """
+    if not isinstance(sink, (str, os.PathLike)):
+        yield sink
+        return
+    try:
+        mode = os.stat(sink).st_mode
+    except FileNotFoundError:  # a new file gets what open(sink, "w") gives
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
+        with open(sink, "w", encoding="utf-8", newline="") as f:
+            yield f
+        return
+    target = os.path.realpath(sink)  # through a symlink, as open() writes
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as f:
+            os.chmod(tmp, stat.S_IMODE(mode))  # mkstemp made it 0600
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_rows(f, ds, nominal_text, text_text):
@@ -197,30 +228,25 @@ def _parse_csv_text(text):
     """RFC 4180 parse, one record at a time: each record is a list of
     (value, was_quoted). Accepts CRLF.
 
-    The fields of a line that come before its first quote are plain, and
-    one split reads them; _CSV_FIELD reads the rest of that record.
+    A line that ends before the next quote is plain, and one split reads
+    it; _CSV_FIELD reads every other record, field by field.
     """
     pos, end = 0, len(text)
     quote = -1  # the first '"' at or after pos, or end if there is none
     while pos < end:  # a record starts at pos
-        fields = []
         if quote < pos:
             quote = text.find('"', pos)
             if quote < 0:
                 quote = end
-        if quote > pos:
-            newline = text.find("\n", pos, quote)
-            if newline >= 0:  # the whole line is plain
-                line = text[pos:newline]
-                if line.endswith("\r"):  # the CR of a CRLF
-                    line = line[:-1]
-                pos = newline + 1
-                yield [(v, False) for v in line.split(",")]
-                continue
-            comma = text.rfind(",", pos, quote)
-            if comma >= 0:
-                fields = [(v, False) for v in text[pos:comma].split(",")]
-                pos = comma + 1
+        newline = text.find("\n", pos, quote)
+        if newline >= 0:  # the whole line is plain
+            line = text[pos:newline]
+            if line.endswith("\r"):  # the CR of a CRLF
+                line = line[:-1]
+            pos = newline + 1
+            yield [(v, False) for v in line.split(",")]
+            continue
+        fields = []
         sep = ","
         while sep == ",":
             m = _CSV_FIELD.match(text, pos)

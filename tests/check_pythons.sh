@@ -1,8 +1,12 @@
 #!/bin/sh
 # Run the checks that need no pytest under every Python given, and the
-# tier-1 suite under each of them that can import pytest and hypothesis:
+# tier-1 suite under each of them that can import pytest and hypothesis.
+# Give each interpreter by its full path: pyenv's shims reject a version
+# that is not the selected one, and a bare name may find another install.
 #
-#     tests/check_pythons.sh python3.10 python3.11 python3.12 python3.13
+#     tests/check_pythons.sh ~/.pyenv/versions/3.10.13/bin/python3 \
+#         ~/.pyenv/versions/3.11.7/bin/python3 ~/.pyenv/versions/3.12.1/bin/python3 \
+#         ~/.pyenv/versions/3.13.0/bin/python3 /usr/bin/python3.11
 #
 # Says which interpreters had no tier-1 run, and exits non-zero if any
 # check or test run failed (or an interpreter would not start).

@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import FIXTURE_CORPUS, SRC, run_cli
-from mailminer import cli
+from mailminer import cli, tabular
 from helpers import read_arff
 
 
@@ -315,12 +315,12 @@ def test_out_failure_part_way_keeps_old_target(emails_csv, tmp_path, monkeypatch
     target = tmp_path / "out.csv"
     target.write_text("old contents\n")
 
-    def failing_write(ds, sink):
-        sink.write("partial,")
-        sink.flush()
+    def failing_rows(f, *args):
+        f.write("partial,")
+        f.flush()
         raise exc
 
-    monkeypatch.setattr(cli, "write_csv", failing_write)
+    monkeypatch.setattr(tabular, "_write_rows", failing_rows)
     argv = ["filter", str(emails_csv), "--shuffle", "--out", str(target)]
     if code is None:
         with pytest.raises(type(exc)):

@@ -1,5 +1,6 @@
 import base64
 import email.header
+import itertools
 import os
 import random
 from datetime import datetime, timezone
@@ -272,6 +273,66 @@ def _delimited_bodies(draw):
 def test_split_segments_matches_regex_oracle(case):
     body, boundary = case
     assert _split_segments(body, boundary) == oracle_split_segments(body, boundary)
+
+
+# Body, preamble and epilogue lines: no ":" and no "-", so none reads as a
+# header of a part without headers or as a delimiter line.
+_MIME_TEXT = st.text(alphabet="ab xy", max_size=8)
+_LEAF_TYPES = ("text/plain", "text/html", "image/png", "application/pdf")
+# Boundary characters of RFC 2046 without "." and digits: each boundary
+# ends in "." and a number of its own, so none is a prefix of another.
+_BOUNDARY_CHARS = "aZ'()+_,-/:=? "
+
+
+@st.composite
+def _mime_part(draw, nl, ids, depth=0):
+    """One MIME part, headers, blank line and body, without a final line
+    break, and the leaf content types it plants: a typed leaf, a part with
+    no Content-Type, a multipart with no boundary or with no part, and up
+    to three levels of multipart with a preamble, padded delimiter lines
+    and, if closed, an epilogue."""
+    others = draw(st.sampled_from([[], ["Content-Disposition: inline"]]))
+    lines = draw(st.lists(_MIME_TEXT, max_size=3))
+    kinds = ["untyped", "leaf", "no boundary", "no part"] + (["multipart"] if depth < 3 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "untyped":
+        return nl.join(others + [""] + lines), ["text/plain"]
+    if kind == "leaf":
+        ctype = draw(st.sampled_from(_LEAF_TYPES))
+        value = draw(st.sampled_from([str.lower, str.upper, str.title]))(ctype)
+        value += draw(st.sampled_from(["", "; charset=utf-8", " ; name=x"]))
+        return nl.join([f"Content-Type: {value}"] + others + [""] + lines), [ctype]
+    ctype = "multipart/" + draw(st.sampled_from(["mixed", "alternative", "related"]))
+    if kind == "no boundary":
+        return nl.join([f"Content-Type: {ctype}"] + others + [""] + lines), [ctype]
+    boundary = draw(st.text(alphabet=_BOUNDARY_CHARS, max_size=4)) + f".{next(ids)}"
+    param = draw(st.sampled_from(["boundary", "Boundary"])) + "="
+    param += boundary if " " not in boundary and draw(st.booleans()) else f'"{boundary}"'
+    head = f"Content-Type: {ctype};" + draw(st.sampled_from([" ", nl + "\t"])) + param
+    children = []
+    if kind == "multipart":
+        children = draw(st.lists(_mime_part(nl, ids, depth + 1), min_size=1, max_size=3))
+    blanks = st.sampled_from(["", " ", " \t"])
+    out = [head] + others + [""] + lines  # the lines before a delimiter are the preamble
+    for text, _ in children:
+        out += ["--" + boundary + draw(blanks), text]
+    if draw(st.booleans()):
+        out += ["--" + boundary + "--" + draw(blanks)] + draw(st.lists(_MIME_TEXT, max_size=2))
+    leaves = [leaf for _, planted in children for leaf in planted]
+    return nl.join(out), leaves or [ctype]
+
+
+@st.composite
+def _mime_messages(draw):
+    nl = draw(st.sampled_from(["\n", "\r\n"]))
+    part, leaves = draw(_mime_part(nl, itertools.count()))
+    return ("From: a@x.test" + nl + part).encode(), leaves
+
+
+@given(_mime_messages())
+def test_body_parts_are_the_planted_leaves(case):
+    data, leaves = case
+    assert parse_eml(data).body_parts == tuple(leaves)
 
 
 def _mail(path, sender):

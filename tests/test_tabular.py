@@ -1,6 +1,9 @@
 import copy
 import io
+import os
 import random
+import stat
+import threading
 import tracemalloc
 
 import pytest
@@ -27,6 +30,8 @@ from mailminer import (
     write_csv,
 )
 
+from mailminer import tabular
+from mailminer.analysis import SenderEntry, SenderReport, render_report
 from mailminer.tabular import CANONICAL_HINTS, CANONICAL_SCHEMA, _parse_csv_text, format_csv_field
 
 from helpers import hints_for, oracle_parse_csv_text, oracle_read_csv_error, random_dataset, read_arff
@@ -476,3 +481,82 @@ def test_arff_reads_back_to_the_dataset(ds):
 def test_arff_date_column_is_numeric_epoch_seconds():
     ds = Dataset([AttributeSpec("Date", "date")], [[1.5], [MISSING]], "emails")
     assert _arff_text(ds) == "@relation emails\n@attribute Date numeric % epoch seconds\n@data\n1.5\n?\n"
+
+
+# ---------------------------------------------------------------------------
+# Writing to a path
+
+_SENDERS = SenderReport((SenderEntry("a@x.test", 2, 0.5), SenderEntry("b@x.test", 2, 0.5)), 4)
+# Each path writer, by name: (the call, given its sink; what it writes).
+_PATH_WRITERS = {
+    "csv": (lambda sink: write_csv(_text_ds("a", "b", MISSING), sink), "v\na\nb\n?\n"),
+    "arff": (
+        lambda sink: write_arff(_text_ds("a", "b", MISSING), sink),
+        "@relation data\n@attribute v string\n@data\n'a'\n'b'\n?\n",
+    ),
+    "report": (
+        lambda sink: render_report(_SENDERS, "text", sink),
+        "sender count share\na@x.test 2 0.5000\nb@x.test 2 0.5000\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_WRITERS))
+def test_path_writer_failing_part_way_keeps_the_old_target(tmp_path, monkeypatch, name):
+    """write_csv and write_arff fail after a first row reached the file; a
+    report fails on a line that UTF-8 cannot encode (a lone surrogate, as
+    surrogateescape leaves for a bad byte)."""
+    target = tmp_path / "out"
+    target.write_text("old contents\n")
+    if name == "report":
+        bad = SenderReport((SenderEntry("a@x.test", 1, 0.5), SenderEntry("\udcff", 1, 0.5)), 2)
+        with pytest.raises(UnicodeEncodeError):
+            render_report(bad, "text", target)
+    else:
+        real_write_rows = tabular._write_rows
+
+        def failing_rows(f, ds, *formats):
+            real_write_rows(f, Dataset(ds.schema, ds.rows[:1]), *formats)
+            f.flush()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tabular, "_write_rows", failing_rows)
+        with pytest.raises(OSError, match="disk full"):
+            _PATH_WRITERS[name][0](target)
+    assert target.read_text() == "old contents\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_WRITERS))
+def test_path_writer_replaces_the_file_a_link_names(tmp_path, name):
+    write, expected = _PATH_WRITERS[name]
+    buf = io.StringIO()
+    write(buf)
+    assert buf.getvalue() == expected
+    (tmp_path / "real").write_text("old\n")
+    link = tmp_path / "link"
+    try:
+        os.symlink("real", link)
+    except (OSError, NotImplementedError) as exc:
+        pytest.skip(f"filesystem refuses a symbolic link: {exc}")
+    write(link)
+    assert link.is_symlink()
+    assert (tmp_path / "real").read_bytes() == expected.encode()
+    assert sorted(os.listdir(tmp_path)) == ["link", "real"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("name", sorted(_PATH_WRITERS))
+def test_path_writer_writes_a_fifo_in_place(tmp_path, name):
+    write, expected = _PATH_WRITERS[name]
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write(fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [expected.encode()]
+    assert os.listdir(tmp_path) == ["pipe"]
