@@ -28,7 +28,7 @@ from .core import (
 from .tabular import (
     CANONICAL_ATTRIBUTES,
     CANONICAL_HINTS,
-    _repeated,
+    _checked_selection,
     duplicate_profile,
     filter_discretize,
     filter_randomize,
@@ -88,13 +88,7 @@ def _split_attrs(spec_text):
 
 
 def cmd_convert(args):
-    attrs = _split_attrs(args.attrs)
-    for name in attrs:
-        if name not in CANONICAL_ATTRIBUTES:
-            return _usage(f"unknown attribute {name!r} in --attrs")
-    repeated = _repeated(attrs)
-    if repeated is not None:
-        return _usage(f"attribute {repeated!r} selected more than once in --attrs")
+    attrs = _checked_selection(_split_attrs(args.attrs))  # before the scan
     result = _scan(args)
     ds = records_to_dataset(result.records, attrs)
     writer = write_csv if args.format == "csv" else write_arff

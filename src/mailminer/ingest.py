@@ -3,7 +3,7 @@
 Each message is reduced to six attributes: Date, MessageId, CC, From,
 Subject and an HTML presence flag. Header parsing is deliberately small
 and forgiving: anything that cannot be interpreted degrades to MISSING
-(None) instead of failing the whole file. Header bytes are UTF-8
+(None) instead of failing the whole file. Message bytes are UTF-8
 (RFC 6532), with latin-1 for a line that is not. Only Subject is decoded
 from RFC 2047 encoded-words; From and Cc addresses are read from the raw
 header value.
@@ -25,6 +25,11 @@ _SEPARATOR = re.compile(r"\r?\n\r?\n")
 _BOUNDARY_QUOTED = re.compile(r'boundary\s*=\s*"([^"]*)"', re.IGNORECASE)
 _BOUNDARY_BARE = re.compile(r"boundary\s*=\s*([^;\s]+)", re.IGNORECASE)
 _ENCODED_WORD = re.compile(r"=\?([^?]+)\?([bBqQ])\?([^? ]*)\?=")
+_BAD_Q_ESCAPE = re.compile(r"=(?![0-9A-Fa-f]{2})")
+# Multipart levels read; a multipart nested deeper is one leaf of its own
+# type. Each level copies its text and costs a stack frame, so hostile
+# nesting stays cheap and never reaches the recursion limit.
+_MAX_NESTING = 64
 # A Cc value that is only bare addr-specs, comma-separated, each piece
 # non-empty and at most padded with spaces and tabs.
 _BARE_ADDR = r"[ \t]*[A-Za-z0-9._+-]+@[A-Za-z0-9.-]+[ \t]*"
@@ -170,22 +175,22 @@ def _split_segments(body_text, boundary):
     return segments
 
 
-def _part_types(ct_value, body_text):
-    """The content types of a part's leaves, given its Content-Type value
-    (None if it has none) and its body. A multipart part is cut at its
+def _part_types(headers, body, depth=1):
+    """The content types of a message's or part's leaves, given its header
+    pairs and body (None if it has none). A multipart is cut at its
     delimiter lines (see _split_segments) and each segment is read as a
-    part of its own, recursively. A multipart part with no boundary
-    parameter or no segment is one leaf of its own type, and so is every
+    part, recursively, to _MAX_NESTING levels. A multipart with no boundary
+    parameter, no segment or too deep is one leaf of its own type, as is any
     other part; a part without a Content-Type is text/plain."""
+    ct_value = _first_header(headers, "Content-Type")
     if not ct_value:
         return ["text/plain"]
     ctype = _main_type(ct_value)
-    boundary = ctype.startswith("multipart/") and _boundary(ct_value)
+    boundary = depth <= _MAX_NESTING and ctype.startswith("multipart/") and _boundary(ct_value)
     parts = []
     if boundary:
-        for segment in _split_segments(body_text, boundary):
-            headers, body = _split_head(segment.lstrip("\r\n"))
-            parts += _part_types(_first_header(headers, "Content-Type"), body or "")
+        for segment in _split_segments(body or "", boundary):
+            parts += _part_types(*_split_head(segment), depth + 1)
     return parts or [ctype]
 
 
@@ -197,9 +202,8 @@ def _decode_line(line):
 
 
 def _decode_head(data):
-    """Header block bytes as text: UTF-8 (RFC 6532) when the whole block
-    decodes, and otherwise line by line, a line that is not UTF-8 read as
-    latin-1."""
+    """Message bytes as text: UTF-8 (RFC 6532) when they all decode, and
+    otherwise line by line, a line that is not UTF-8 read as latin-1."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError:
@@ -209,45 +213,28 @@ def _decode_head(data):
 def parse_eml(data, source_path=None):
     """Parse raw .eml bytes into a RawEmail.
 
-    The header block ends at the first blank line; CRLF and LF endings
-    are both accepted. It is decoded by _decode_head; the body, which
-    only yields its MIME part types, is read as latin-1. Raises
-    MalformedInput when there is neither a header/body separator nor a
-    single parseable header line.
+    The bytes are decoded by _decode_head and cut by _split_head, as each
+    MIME part is: the header block ends at the first blank line, with CRLF
+    or LF endings. A UTF-8 sequence holds no CR or LF, so the cut falls
+    where it falls in the bytes. Raises MalformedInput when there is
+    neither a header/body separator nor a single parseable header line.
     """
-    text = data.decode("latin-1")  # one character per byte: offsets match
-    m = _SEPARATOR.search(text)
-    headers = _parse_header_block(_decode_head(data if m is None else data[: m.start()]))
-    body_text = None if m is None else text[m.end():]
-    if not headers and body_text is None:
+    headers, body = _split_head(_decode_head(data))
+    if not headers and body is None:
         raise MalformedInput(
             f"not an email message: no header/body separator and no header line"
             + (f" in {source_path}" if source_path else "")
         )
-    parts = _part_types(_first_header(headers, "Content-Type"), body_text or "")
-    return RawEmail(tuple(headers), tuple(parts))
+    return RawEmail(tuple(headers), tuple(_part_types(headers, body)))
 
 
 def _decode_q(text):
-    out = bytearray()
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "_":
-            out.append(0x20)
-            i += 1
-        elif ch == "=":
-            if i + 3 > len(text):
-                raise ValueError("truncated Q escape")
-            out.append(int(text[i + 1 : i + 3], 16))
-            i += 3
-        else:
-            code = ord(ch)
-            if code > 255:
-                raise ValueError("non-latin character in Q text")
-            out.append(code)
-            i += 1
-    return bytes(out)
+    """Q-encoded text as bytes (RFC 2047 §4.2). ValueError unless each "="
+    starts two hex digits (a2b_qp would keep a bad escape as it stands)
+    and every character is latin-1."""
+    if _BAD_Q_ESCAPE.search(text):
+        raise ValueError("bad Q escape")
+    return binascii.a2b_qp(text.encode("latin-1"), header=True)
 
 
 def _decode_word(m):

@@ -119,11 +119,9 @@ def _repeated(names):
     return next((name for name, n in Counter(names).items() if n > 1), None)
 
 
-def records_to_dataset(records, selected=CANONICAL_ATTRIBUTES):
-    """Build a dataset from EmailRecords, one row per record, with the
-    selected columns of CANONICAL_SCHEMA, each at most once. CC lists are
-    flattened to one semicolon-joined string; an empty CC list is missing.
-    """
+def _checked_selection(selected):
+    """The selected names as a list, or UnknownAttribute unless they are
+    canonical attribute names, at least one and each at most once."""
     selected = list(selected)
     if not selected:
         raise UnknownAttribute("attribute selection is empty")
@@ -133,6 +131,15 @@ def records_to_dataset(records, selected=CANONICAL_ATTRIBUTES):
     repeated = _repeated(selected)
     if repeated is not None:
         raise UnknownAttribute(f"attribute {repeated!r} selected more than once")
+    return selected
+
+
+def records_to_dataset(records, selected=CANONICAL_ATTRIBUTES):
+    """Build a dataset from EmailRecords, one row per record, with the
+    selected columns of CANONICAL_SCHEMA, each at most once. CC lists are
+    flattened to one semicolon-joined string; an empty CC list is missing.
+    """
+    selected = _checked_selection(selected)
     schema = [CANONICAL_SCHEMA[CANONICAL_ATTRIBUTES.index(name)] for name in selected]
     cells = [_CELL_OF[name] for name in selected]
     rows = [[cell(rec) for cell in cells] for rec in records]

@@ -1,29 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
-
-FIXTURE_CORPUS = ROOT / "fixtures" / "corpus"
-FIXTURE_DUP_CORPUS = ROOT / "fixtures" / "dup_corpus"
-
-
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "mailminer", *[str(a) for a in args]],
-        capture_output=True,
-        env=env,
-    )
+from helpers import FIXTURE_CORPUS
 
 
 @pytest.fixture(scope="session")

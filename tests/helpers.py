@@ -1,15 +1,41 @@
-"""Test-side oracles: an ARFF reader, a per-character CSV tokenizer and
-the read_csv error it implies, a regex MIME part splitter, a per-pair
-distance loop, a naive SSE recomputation, a naive silhouette, and a
-random dataset generator."""
+"""Test-side helpers that need no pytest: the fixture corpora and a CLI
+subprocess runner, and the oracles: an ARFF reader, a per-character CSV
+tokenizer and the read_csv error it implies, a regex MIME part splitter,
+a per-pair distance loop, a naive SSE recomputation, a naive silhouette,
+and a random dataset generator."""
 
 import math
 import operator
+import os
 import random
 import re
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
-from mailminer import AttributeSpec, Dataset, MISSING
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+from mailminer import AttributeSpec, Dataset, MISSING  # noqa: E402
+
+FIXTURE_CORPUS = ROOT / "fixtures" / "corpus"
+FIXTURE_DUP_CORPUS = ROOT / "fixtures" / "dup_corpus"
+
+
+def run_cli(*args, env_extra=None):
+    """`python -m mailminer ARGS` on this checkout's source, captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    if env_extra:
+        env.update(env_extra)
+    return subprocess.run(
+        [sys.executable, "-m", "mailminer", *[str(a) for a in args]],
+        capture_output=True,
+        env=env,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ from mailminer import (
     write_csv,
 )
 
-from conftest import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, run_cli
-from helpers import hints_for, naive_sse, random_dataset, read_arff
+from helpers import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, hints_for, naive_sse, random_dataset, read_arff, run_cli
 
 
 def _ok(name):

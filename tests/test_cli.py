@@ -11,9 +11,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import FIXTURE_CORPUS, SRC, run_cli
+from helpers import FIXTURE_CORPUS, SRC, read_arff, run_cli
 from mailminer import cli, tabular
-from helpers import read_arff
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,13 @@ def test_convert_repeated_attrs_is_rejected_before_the_scan(tmp_path):
     # an unreadable directory would exit 3 if the scan ran first
     proc = run_cli("convert", tmp_path / "missing", "--attrs", "CC,From,CC")
     assert proc.returncode == 1
-    assert proc.stderr.decode() == "mailminer: error: attribute 'CC' selected more than once in --attrs\n"
+    assert proc.stderr.decode() == "mailminer: error: attribute 'CC' selected more than once\n"
+
+
+def test_convert_empty_attrs_is_rejected_before_the_scan(tmp_path):
+    proc = run_cli("convert", tmp_path / "missing", "--attrs", "")
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "mailminer: error: attribute selection is empty\n"
 
 
 def test_filter_on_a_repeated_header_is_a_data_error(tmp_path):

@@ -8,19 +8,22 @@ diagnostic lines. The parser wraps usage lines at a fixed width, not at
 COLUMNS, so a usage error prints the same bytes at any terminal width and
 on every Python (3.13 wraps a narrow usage line unlike 3.10-3.12).
 
+The same cases also run as a script, each as a `python -m mailminer`
+subprocess, without pytest, so any interpreter can check them:
+
+    python tests/test_golden.py --check
+
 Regenerate the goldens (only when an output change is intended) with
 
-    python tests/test_golden.py
-
-which runs every case as a `python -m mailminer` subprocess.
+    python tests/test_golden.py --write
 """
 
 import json
+import sys
+import tempfile
 from pathlib import Path
 
-import pytest
-
-from conftest import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, run_cli
+from helpers import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPORA = {"corpus": FIXTURE_CORPUS, "dup_corpus": FIXTURE_DUP_CORPUS}
@@ -68,6 +71,50 @@ def _exit_codes():
     return json.loads((GOLDEN / "exit_codes.json").read_text())
 
 
+def _subprocess_runs():
+    """Each case run as a subprocess: {"corpus/name": CompletedProcess}."""
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for corpus, directory in CORPORA.items():
+            csv_path = Path(tmp) / f"{corpus}.csv"
+            assert run_cli("convert", directory, "--out", csv_path).returncode == 0
+            for name, argv in CASES + ERROR_CASES:
+                runs[f"{corpus}/{name}"] = run_cli(*_argv(argv, corpus, csv_path), env_extra=GOLDEN_ENV)
+    return runs
+
+
+def _main(argv):
+    if argv not in (["--check"], ["--write"]):
+        print("usage: test_golden.py --check | --write", file=sys.stderr)
+        return 1
+    runs = _subprocess_runs()
+    if argv == ["--write"]:
+        for key, proc in runs.items():
+            (GOLDEN / key).parent.mkdir(parents=True, exist_ok=True)
+            (GOLDEN / f"{key}.stdout").write_bytes(proc.stdout)
+            (GOLDEN / f"{key}.stderr").write_bytes(proc.stderr)
+        codes = {key: proc.returncode for key, proc in runs.items()}
+        (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+        return 0
+    codes = _exit_codes()
+    bad = [
+        key
+        for key, proc in runs.items()
+        if (proc.returncode, proc.stdout, proc.stderr)
+        != (codes[key], (GOLDEN / f"{key}.stdout").read_bytes(), (GOLDEN / f"{key}.stderr").read_bytes())
+    ]
+    version = ".".join(map(str, sys.version_info[:3]))
+    print(f"CLI golden ({len(runs)} cases) on Python {version}: " + (f"MISMATCH {bad}" if bad else "ok"))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    # exits before the pytest import below, so --check needs no pytest
+    sys.exit(_main(sys.argv[1:]))
+
+import pytest  # noqa: E402
+
+
 @pytest.fixture(scope="module")
 def csv_paths(tmp_path_factory):
     from mailminer import cli
@@ -105,24 +152,3 @@ def test_usage_error_does_not_follow_the_terminal_width(name, argv, columns, csv
     capsysbinary.readouterr()
     assert cli.main(_argv(argv, "corpus", csv_paths["corpus"])) == 1
     assert capsysbinary.readouterr().err == (GOLDEN / "corpus" / f"{name}.stderr").read_bytes()
-
-
-def _regenerate():
-    import tempfile
-
-    codes = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for corpus, directory in CORPORA.items():
-            csv_path = Path(tmp) / f"{corpus}.csv"
-            assert run_cli("convert", directory, "--out", csv_path).returncode == 0
-            (GOLDEN / corpus).mkdir(parents=True, exist_ok=True)
-            for name, argv in CASES + ERROR_CASES:
-                proc = run_cli(*_argv(argv, corpus, csv_path), env_extra=GOLDEN_ENV)
-                codes[f"{corpus}/{name}"] = proc.returncode
-                (GOLDEN / corpus / f"{name}.stdout").write_bytes(proc.stdout)
-                (GOLDEN / corpus / f"{name}.stderr").write_bytes(proc.stderr)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
-
-
-if __name__ == "__main__":
-    _regenerate()

@@ -6,7 +6,7 @@ import random
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mailminer import (
     MISSING,
@@ -16,10 +16,9 @@ from mailminer import (
     parse_eml,
     scan_corpus,
 )
-from mailminer.ingest import _split_segments, decode_encoded_words
+from mailminer.ingest import _MAX_NESTING, _split_segments, decode_encoded_words
 
-from conftest import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, run_cli
-from helpers import oracle_split_segments
+from helpers import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, oracle_split_segments, run_cli
 
 
 def _record(raw_bytes):
@@ -116,6 +115,14 @@ def test_subject_q_encoded_word_latin1():
 
 def test_unknown_charset_kept_verbatim():
     token = "=?KOI8-R?B?0NLJ18XU?="
+    rec = _record(f"Subject: {token}\r\n\r\n.".encode())
+    assert rec.subject == token
+
+
+# RFC 2047 §4.2: "=" then two hex digits. int(x, 16) alone also takes a
+# sign, a blank or a non-ASCII digit, and so decoded each of these.
+@pytest.mark.parametrize("token", ["=?utf-8?q?a=+Ab?=", "=?utf-8?q?a=\tAb?=", "=?utf-8?q?a=\u0660\u0661b?="])
+def test_q_escape_without_two_hex_digits_is_kept_verbatim(token):
     rec = _record(f"Subject: {token}\r\n\r\n.".encode())
     assert rec.subject == token
 
@@ -247,6 +254,45 @@ def test_multipart_delimiters_with_blanks_cr_and_close():
     assert raw.body_parts == ("text/plain", "text/html")
 
 
+# The message's body is decoded as its head is, so a non-ASCII boundary
+# reads the same at the top level and in a nested part.
+@pytest.mark.parametrize("nested", [False, True])
+def test_non_ascii_boundary(nested):
+    mime = 'Content-Type: multipart/mixed; boundary="é"\r\n\r\n--é\r\nContent-Type: text/html\r\n\r\n<p>\r\n--é--'
+    if nested:
+        mime = f"Content-Type: multipart/mixed; boundary=o\r\n\r\n--o\r\n{mime}\r\n--o--"
+    assert parse_eml(mime.encode()).body_parts == ("text/html",)
+
+
+def _nested(levels):
+    """A message of one-part multiparts nested `levels` deep around one
+    text/html leaf."""
+    mime = "Content-Type: text/html\r\n\r\n<p>\r\n"
+    for i in range(levels):
+        mime = f"Content-Type: multipart/mixed; boundary=b{i}\r\n\r\n--b{i}\r\n{mime}--b{i}--\r\n"
+    return mime.encode()
+
+
+@pytest.mark.parametrize(
+    "levels, parts",
+    [
+        (_MAX_NESTING - 1, ("text/html",)),
+        (_MAX_NESTING, ("text/html",)),
+        (_MAX_NESTING + 1, ("multipart/mixed",)),
+        (1200, ("multipart/mixed",)),  # past the recursion limit
+    ],
+)
+def test_multipart_levels_past_the_cap_are_one_leaf(levels, parts):
+    assert parse_eml(_nested(levels)).body_parts == parts
+
+
+def test_scan_keeps_a_deeply_nested_message(tmp_path):
+    (tmp_path / "deep.eml").write_bytes(b"From: a@x.test\r\n" + _nested(1200))
+    result = scan_corpus(tmp_path)
+    assert [r.from_addr for r in result.records] == ["a@x.test"]
+    assert result.skipped == []
+
+
 # Boundaries with regex metacharacters, blanks and "-"; lines that are
 # delimiters, near misses (a stray "-", text after the blanks, "\r" not
 # last) and noise with bare "\r".
@@ -288,14 +334,17 @@ _BOUNDARY_CHARS = "aZ'()+_,-/:=? "
 def _mime_part(draw, nl, ids, depth=0):
     """One MIME part, headers, blank line and body, without a final line
     break, and the leaf content types it plants: a typed leaf, a part with
-    no Content-Type, a multipart with no boundary or with no part, and up
-    to three levels of multipart with a preamble, padded delimiter lines
-    and, if closed, an epilogue."""
+    no Content-Type (whose body may look like headers), a multipart with
+    no boundary or with no part, and up to three levels of multipart with
+    a preamble, padded delimiter lines and, if closed, an epilogue."""
     others = draw(st.sampled_from([[], ["Content-Disposition: inline"]]))
     lines = draw(st.lists(_MIME_TEXT, max_size=3))
     kinds = ["untyped", "leaf", "no boundary", "no part"] + (["multipart"] if depth < 3 else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "untyped":
+        # a body line that reads like a header stays body, even first after
+        # the blank line that starts a part with no header (RFC 2046 §5.1.1)
+        lines = draw(st.sampled_from([[], ["Content-Type: text/html"]])) + lines
         return nl.join(others + [""] + lines), ["text/plain"]
     if kind == "leaf":
         ctype = draw(st.sampled_from(_LEAF_TYPES))
@@ -330,6 +379,7 @@ def _mime_messages(draw):
 
 
 @given(_mime_messages())
+@example((b"Content-Type: multipart/mixed; boundary=b\r\n\r\n--b\r\n\r\nContent-Type: text/html\r\n--b--", ["text/plain"]))
 def test_body_parts_are_the_planted_leaves(case):
     data, leaves = case
     assert parse_eml(data).body_parts == tuple(leaves)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import SRC
+from helpers import SRC
 
 import mailminer
 
