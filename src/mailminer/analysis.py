@@ -50,7 +50,8 @@ def summarize(model, ds):
 
 
 def top_senders(records, n):
-    """Rank sender addresses by message count (ties by address).
+    """Rank sender addresses by message count (ties by address) over any
+    iterable of records.
 
     Records without a From address are pooled under "(unknown)" so the
     counts always add up to the corpus size.
@@ -62,7 +63,7 @@ def top_senders(records, n):
         for rec in records
     )
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    total = len(records)
+    total = sum(counts.values())
     entries = tuple(
         SenderEntry(addr, count, count / total) for addr, count in ranked[:n]
     )

@@ -9,6 +9,7 @@ and debug prints what info prints.
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 
@@ -29,13 +30,13 @@ from .tabular import (
     CANONICAL_ATTRIBUTES,
     CANONICAL_HINTS,
     _checked_selection,
+    _streamed_dataset,
     duplicate_profile,
     filter_discretize,
     filter_randomize,
     filter_remove,
     filter_sample,
     read_csv,
-    records_to_dataset,
     write_arff,
     write_csv,
 )
@@ -72,13 +73,18 @@ def _usage(message):
     return EXIT_USAGE
 
 
-def _scan(args):
-    from .ingest import scan_corpus
+def _scan(args, consume):
+    """consume(the records of args.dir, streamed), then the record count and
+    the skip-list on stderr; a bad directory fails before consume runs."""
+    from .ingest import iter_corpus
 
-    result = scan_corpus(args.dir)
+    skipped = []
+    records = iter_corpus(args.dir, skipped)
+    tally = itertools.count()  # zip draws from it only for a record it yields
+    result = consume(record for record, _ in zip(records, tally))
     if not args.quiet:
-        print(f"records: {len(result.records)}  skipped: {len(result.skipped)}", file=sys.stderr)
-        for entry in result.skipped:
+        print(f"records: {next(tally)}  skipped: {len(skipped)}", file=sys.stderr)
+        for entry in skipped:
             print(f"skipped {entry.path}: {entry.reason}", file=sys.stderr)
     return result
 
@@ -89,10 +95,9 @@ def _split_attrs(spec_text):
 
 def cmd_convert(args):
     attrs = _checked_selection(_split_attrs(args.attrs))  # before the scan
-    result = _scan(args)
-    ds = records_to_dataset(result.records, attrs)
     writer = write_csv if args.format == "csv" else write_arff
-    writer(ds, args.out or sys.stdout)
+    # the writer opens --out before it reads a row, so a bad --out fails before the scan
+    _scan(args, lambda records: writer(_streamed_dataset(records, attrs), args.out or sys.stdout))
     return EXIT_OK
 
 
@@ -136,8 +141,7 @@ def cmd_top_senders(args):
 
     if args.n < 1:
         return _usage("-n must be >= 1")
-    result = _scan(args)
-    report = top_senders(result.records, args.n)
+    report = _scan(args, lambda records: top_senders(records, args.n))
     render_report(report, "text", args.out or sys.stdout)
     return EXIT_OK
 

@@ -375,18 +375,19 @@ def _eml_files(root):
     return found
 
 
-def scan_corpus(directory):
-    """Parse every .eml file under a directory, recursively.
+def iter_corpus(directory, skipped):
+    """The records of the .eml files under a directory, recursively, each
+    file read as the iterator reaches it.
 
     Enumeration: dot-files count; the ".eml" suffix matches in any case;
     a link to a .eml file is read, a linked directory is not descended,
     and dangling links and directories named *.eml are ignored (see
     _eml_files). Files are processed in lexicographic byte order of their
     relative path, so the result is independent of filesystem enumeration
-    order. Unparseable .eml files land on the skip-list under their
+    order. Unparseable .eml files are appended to skipped under their
     relative path, with a reason that names the file as
     Path(directory) / relative path; non-.eml files are ignored entirely.
-    Raises DirectoryUnreadable when directory is not a directory.
+    This call enumerates the directory, so DirectoryUnreadable comes first.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -396,8 +397,10 @@ def scan_corpus(directory):
     except OSError as exc:
         raise DirectoryUnreadable(f"cannot scan {directory}: {exc}") from exc
     files.sort(key=os.fsencode)
+    return _read_each(root, files, skipped)
 
-    records, skipped = [], []
+
+def _read_each(root, files, skipped):
     for rel in files:
         path = root / rel
         try:
@@ -408,5 +411,10 @@ def scan_corpus(directory):
         except OSError as exc:
             skipped.append(SkipEntry(rel, f"read error: {exc}"))
         else:
-            records.append(record)
-    return ScanResult(records, skipped)
+            yield record
+
+
+def scan_corpus(directory):
+    """Every record and skip entry of iter_corpus(directory), as lists."""
+    skipped = []
+    return ScanResult(list(iter_corpus(directory, skipped)), skipped)

@@ -119,6 +119,12 @@ def _repeated(names):
     return next((name for name, n in Counter(names).items() if n > 1), None)
 
 
+def _refuse_repeated(names):
+    repeated = _repeated(names)
+    if repeated is not None:
+        raise UnknownAttribute(f"attribute {repeated!r} selected more than once")
+
+
 def _checked_selection(selected):
     """The selected names as a list, or UnknownAttribute unless they are
     canonical attribute names, at least one and each at most once."""
@@ -128,10 +134,18 @@ def _checked_selection(selected):
     for name in selected:
         if name not in CANONICAL_ATTRIBUTES:
             raise UnknownAttribute(f"unknown attribute {name!r}")
-    repeated = _repeated(selected)
-    if repeated is not None:
-        raise UnknownAttribute(f"attribute {repeated!r} selected more than once")
+    _refuse_repeated(selected)
     return selected
+
+
+def _streamed_dataset(records, selected):
+    """records_to_dataset whose rows are a generator, each row built as a
+    writer reaches it: it can be written once, and no row list is held."""
+    selected = _checked_selection(selected)
+    schema = [CANONICAL_SCHEMA[CANONICAL_ATTRIBUTES.index(name)] for name in selected]
+    cells = [_CELL_OF[name] for name in selected]
+    rows = ([cell(rec) for cell in cells] for rec in records)
+    return Dataset(schema, rows, relation_name="emails")
 
 
 def records_to_dataset(records, selected=CANONICAL_ATTRIBUTES):
@@ -139,11 +153,9 @@ def records_to_dataset(records, selected=CANONICAL_ATTRIBUTES):
     selected columns of CANONICAL_SCHEMA, each at most once. CC lists are
     flattened to one semicolon-joined string; an empty CC list is missing.
     """
-    selected = _checked_selection(selected)
-    schema = [CANONICAL_SCHEMA[CANONICAL_ATTRIBUTES.index(name)] for name in selected]
-    cells = [_CELL_OF[name] for name in selected]
-    rows = [[cell(rec) for cell in cells] for rec in records]
-    return Dataset(schema, rows, relation_name="emails")
+    ds = _streamed_dataset(records, selected)
+    ds.rows = list(ds.rows)
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +216,8 @@ def _open_sink(sink):
 
 def _write_rows(f, ds, nominal_text, text_text):
     """One line per row: numbers by repr, nominal and text cells by their
-    own function, missing cells as a bare "?"."""
+    own function, missing cells as a bare "?". ds.rows is read once, in
+    order, so it may be a generator."""
     formats = [
         _number_text if spec.is_number else nominal_text if spec.kind == "nominal" else text_text
         for spec in ds.schema
@@ -465,8 +478,10 @@ def filter_discretize(ds, name, n_bins):
 
 
 def duplicate_profile(ds, projection):
-    """Count rows whose projected tuple is unique vs repeated."""
+    """Count rows whose projected tuple is unique vs repeated; each name
+    must be a column, named once."""
     idx = [ds.column_index(n) for n in projection]
+    _refuse_repeated(projection)
     counts = Counter(tuple(row[i] for i in idx) for row in ds.rows)
     n_identical = sum(c for c in counts.values() if c >= 2)
     return DuplicateProfile(tuple(projection), ds.n_rows - n_identical, n_identical)

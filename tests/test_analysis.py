@@ -76,6 +76,13 @@ def test_top_senders_empty():
     assert report.entries == () and report.total == 0
 
 
+@pytest.mark.parametrize("senders", ["", "a", "abab?c", "??b"])
+def test_top_senders_reads_any_iterable_once(senders):
+    records = [_rec(MISSING if c == "?" else c) for c in senders]
+    for n in (1, 3):
+        assert top_senders(iter(records), n) == top_senders(records, n)
+
+
 def test_top_senders_missing_bucket_and_tie_order():
     report = top_senders([_rec(MISSING), _rec("b"), _rec("a")], 5)
     assert [e.address for e in report.entries] == [UNKNOWN_SENDER, "a", "b"]

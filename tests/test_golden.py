@@ -55,6 +55,7 @@ ARGPARSE_ERROR_CASES = [
 # Usage errors: exit 1 with a message on stderr.
 ERROR_CASES = [
     ("dupes_bogus", ["dupes", "{csv}", "--attrs", "Bogus"]),
+    ("dupes_repeated", ["dupes", "{csv}", "--attrs", "From,Subject,From"]),
     ("filter_remove_all", ["filter", "{csv}", "--remove", "Date,MessageId,CC,From,Subject,HTML"]),
     ("filter_discretize_text", ["filter", "{csv}", "--discretize", "Subject:2"]),
     *ARGPARSE_ERROR_CASES,

@@ -16,7 +16,7 @@ from mailminer import (
     parse_eml,
     scan_corpus,
 )
-from mailminer.ingest import _MAX_NESTING, _split_segments, decode_encoded_words
+from mailminer.ingest import _MAX_NESTING, _split_segments, decode_encoded_words, iter_corpus
 
 from helpers import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, oracle_split_segments, run_cli
 
@@ -195,6 +195,39 @@ def test_scan_missing_directory_raises(tmp_path):
     _mail(tmp_path / "a.eml", "a")
     with pytest.raises(DirectoryUnreadable):
         scan_corpus(tmp_path / "a.eml")
+
+
+def test_iter_corpus_checks_the_directory_at_the_call(tmp_path):
+    for directory in (tmp_path / "nope", FIXTURE_CORPUS / "01_win_big_1.eml"):
+        with pytest.raises(DirectoryUnreadable):
+            iter_corpus(directory, [])
+
+
+def test_iter_corpus_reads_a_file_only_when_it_is_reached(tmp_path):
+    (tmp_path / "a.eml").write_bytes(b"no header line and no blank line")
+    _mail(tmp_path / "b.eml", "b")
+    skipped = []
+    records = iter_corpus(tmp_path, skipped)
+    assert skipped == []
+    assert next(records).from_addr == "b@x.test"
+    assert [entry.path for entry in skipped] == ["a.eml"]
+    assert next(records, None) is None
+
+
+@pytest.mark.parametrize("corpus", [FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, "mixed"])
+def test_scan_corpus_is_the_iterator_it_wraps(tmp_path, corpus):
+    if corpus == "mixed":
+        corpus = tmp_path
+        (corpus / "sub").mkdir()
+        _mail(corpus / "sub" / "c.eml", "c")
+        (corpus / "b.eml").write_bytes(b"no header line and no blank line")
+        _mail(corpus / "a.EML", "a")
+        (corpus / "d.eml").mkdir()
+    skipped = []
+    records = list(iter_corpus(corpus, skipped))
+    result = scan_corpus(corpus)
+    assert (result.records, result.skipped) == (records, skipped)
+    assert len(records) + len(skipped) >= 2
 
 
 def test_scan_fixture_corpus_in_path_order(corpus_records):

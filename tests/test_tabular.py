@@ -403,6 +403,11 @@ def test_duplicate_profile_unknown_attribute(corpus_dataset):
         duplicate_profile(corpus_dataset, ["Color"])
 
 
+def test_duplicate_profile_refuses_a_repeated_name(corpus_dataset):
+    with pytest.raises(UnknownAttribute, match="^attribute 'From' selected more than once$"):
+        duplicate_profile(corpus_dataset, ["From", "Subject", "From"])
+
+
 def test_duplicate_profile_sum_and_monotonicity():
     rnd = random.Random(7)
     for _ in range(200):
