@@ -409,9 +409,10 @@ def test_scan_holds_one_message_at_a_time(tmp_path, monkeypatch, argv):
     # way). Holding every record until the scan ended, and in convert every
     # row too, made it grow by 154, 146 and 86 kB (csv, arff, top-senders).
     monkeypatch.setenv("MAILMINER_LOG", "quiet")
-    # pathlib interns each file name it parses; the interpreter's table of
-    # interned strings then grows by a transient whose timing depends on
-    # what the process interned before, not on this scan
+    # pathlib interns each file name it parses, so the interpreter's table
+    # of interned strings is now and then rebuilt: a transient of up to a
+    # megabyte, whose timing depends on what the process interned before,
+    # not on what the scan holds
     monkeypatch.setattr(sys, "intern", lambda text: text)
     out = str(tmp_path / "out")
     _small_corpus(tmp_path / "warm", 10)  # imports and the sender cache, filled first
