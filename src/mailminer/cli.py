@@ -30,6 +30,7 @@ from .tabular import (
     CANONICAL_ATTRIBUTES,
     CANONICAL_HINTS,
     _checked_selection,
+    _open_sink,
     _streamed_dataset,
     duplicate_profile,
     filter_discretize,
@@ -141,8 +142,13 @@ def cmd_top_senders(args):
 
     if args.n < 1:
         return _usage("-n must be >= 1")
-    report = _scan(args, lambda records: top_senders(records, args.n))
-    render_report(report, "text", args.out or sys.stdout)
+
+    def report(records):
+        # --out is opened before the first file is read, so a bad --out fails before the scan
+        with _open_sink(args.out or sys.stdout) as f:
+            render_report(top_senders(records, args.n), "text", f)
+
+    _scan(args, report)
     return EXIT_OK
 
 

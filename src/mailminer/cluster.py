@@ -11,10 +11,12 @@ Centroids carry the mean of a ranged column and the mode of the rest.
 Every distance comes from `row_kernel(ranges)`, one row against many,
 generated and kept per set of ranges as a list comprehension with the
 columns unrolled. Its bits equal the generic per-pair loop's: each pair sums 0.0
-and one term per column, left to right, before the sqrt; squaring
-(x - c) / range in place of |x - c| / range, and adding a bool to a
-float, are exact. Assignment calls it once per centroid, the silhouette
-once per row on the rows after it: O(n^2) distances, O(n*sum(k)) memory.
+and one float term per column, left to right, before the sqrt. A missing
+cell adds 1.0, a label column 1.0 or 0.0, a zero range 0.0 (decided when
+the kernel is made), and any other range the quotient (x - c) / range
+computed once and squared, which is |x - c| / range squared to the bit.
+Assignment calls it once per centroid, the silhouette once per row on the
+rows after it: O(n^2) distances, O(n*sum(k)) memory.
 """
 
 import math
@@ -76,7 +78,9 @@ def _left_sum(values):
 def row_kernel(ranges):
     """kernel(row, rows) -> [distance(row, other, ranges) for other in rows],
     generated from column indices and fixed templates only: the ranges are
-    bound by name (R0, R1, ...), and no cell ever reaches the source. One
+    bound by name (R0, R1, ...), and no cell or range value ever reaches
+    the source. Each term is a float, so every addition is float + float;
+    whether the left row's cell is missing is tested once per call. One
     kernel is kept per set of ranges; callers check arity."""
     return _generate_kernel(*ranges)
 
@@ -85,13 +89,8 @@ def row_kernel(ranges):
 @lru_cache(maxsize=64, typed=True)
 def _generate_kernel(*ranges):
     a = ", ".join(f"a{j}" for j in range(len(ranges)))
-    ranged = ("(1.0 if a{0} is M or b{0} is M"
-              " else ((a{0} - b{0}) / R{0}) * ((a{0} - b{0}) / R{0}) if R{0} else 0.0)")
-    terms = "".join(
-        f" + (m{j} or a{j} != b{j})" if rng is None else " + " + ranged.format(j)
-        for j, rng in enumerate(ranges)
-    )
-    hoisted = "".join(f"    m{j} = a{j} is M\n" for j, rng in enumerate(ranges) if rng is None)
+    terms = "".join(" + " + _term(j, rng) for j, rng in enumerate(ranges))
+    hoisted = "".join(f"    m{j} = a{j} is M\n" for j in range(len(ranges)))
     namespace = {f"R{j}": rng for j, rng in enumerate(ranges)}
     namespace.update(M=MISSING, sqrt=math.sqrt)
     exec(f"""def kernel(row, rows):
@@ -99,6 +98,16 @@ def _generate_kernel(*ranges):
 {hoisted}    return [sqrt(0.0{terms}) for [{a.replace("a", "b")}] in rows]
 """, namespace)
     return namespace["kernel"]
+
+
+def _term(j, rng):
+    """Column j's float term of the kernel's sum: 1.0 for a missing cell
+    (m{j} is the left row's, tested once per call) or a label mismatch."""
+    if rng is None:
+        return f"(1.0 if m{j} or a{j} != b{j} else 0.0)"
+    if not rng:  # a zero range: present cells are 0.0 apart
+        return f"(1.0 if m{j} or b{j} is M else 0.0)"
+    return f"(1.0 if m{j} or b{j} is M else (q{j} := (a{j} - b{j}) / R{j}) * q{j})"
 
 
 def distance(row, other, ranges):

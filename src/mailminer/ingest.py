@@ -352,26 +352,27 @@ def _eml_files(root):
     name that is only ".eml" has no suffix, as in pathlib) and it is a
     regular file or a link to one. A link is tested with Path.is_file,
     which reads a looping link as no file where DirEntry.is_file raises.
-    Linked directories are not descended; unreadable subdirectories are
-    passed over.
+    Linked directories are not descended; a subdirectory that cannot be
+    opened (PermissionError) is passed over. Entries are taken from the
+    scandir iterator one at a time, so only the paths kept grow.
     """
     found = []
     pending = [(os.fspath(root), "")]
     while pending:
         path, prefix = pending.pop()
         try:
-            with os.scandir(path) as it:
-                entries = list(it)
+            it = os.scandir(path)
         except PermissionError:
             continue
-        for entry in entries:
-            name = entry.name
-            if entry.is_dir(follow_symlinks=False):
-                pending.append((entry.path, prefix + name + "/"))
-            elif len(name) > 4 and name[-4:].lower() == ".eml" and (
-                Path(entry.path).is_file() if entry.is_symlink() else entry.is_file()
-            ):
-                found.append(prefix + name)
+        with it:
+            for entry in it:
+                name = entry.name
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append((entry.path, prefix + name + "/"))
+                elif len(name) > 4 and name[-4:].lower() == ".eml" and (
+                    Path(entry.path).is_file() if entry.is_symlink() else entry.is_file()
+                ):
+                    found.append(prefix + name)
     return found
 
 

@@ -202,7 +202,10 @@ def _open_sink(sink):
             yield f
         return
     target = os.path.realpath(sink)  # through a symlink, as open() writes
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    except OSError as exc:  # name the path given, as open() would, not the random one
+        raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as f:
             os.chmod(tmp, stat.S_IMODE(mode))  # mkstemp made it 0600

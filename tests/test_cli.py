@@ -94,6 +94,24 @@ def test_convert_to_an_out_that_cannot_be_written_fails_before_the_scan(tmp_path
     assert proc.stdout == b""
 
 
+def test_top_senders_to_an_out_that_cannot_be_written_fails_before_the_scan(tmp_path):
+    proc = run_cli("top-senders", FIXTURE_CORPUS, "--out", tmp_path / "no-such-dir" / "x.txt")
+    assert proc.returncode == 3
+    assert proc.stderr.decode().startswith("mailminer: I/O error: ")
+    assert b"records:" not in proc.stderr
+    assert proc.stdout == b""
+
+
+def test_an_out_that_cannot_be_written_is_named_as_given(tmp_path):
+    # the error names --out, not the random temporary file beside it, so
+    # the stderr bytes are the same on every run
+    out = tmp_path / "no-such-dir" / "x.txt"
+    for argv in (("convert", FIXTURE_CORPUS), ("top-senders", FIXTURE_CORPUS)):
+        proc = run_cli(*argv, "--out", out)
+        assert proc.returncode == 3
+        assert proc.stderr.decode() == f"mailminer: I/O error: [Errno 2] No such file or directory: '{out}'\n"
+
+
 def test_convert_to_stdout_that_cannot_encode_exits_3(tmp_path):
     (tmp_path / "a.eml").write_bytes(b"From: a@x.test\r\nSubject: =?utf-8?q?caf=C3=A9?=\r\n\r\n.")
     proc = run_cli("convert", tmp_path, env_extra={"PYTHONIOENCODING": "ascii"})

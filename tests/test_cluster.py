@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -132,33 +133,44 @@ def test_row_shorter_than_schema_is_arity_mismatch():
 
 _CELL_TEXT = st.sampled_from(["a", "b", "", "?"])
 _CENTROID_TEXT = st.sampled_from(["a", "", "z", "zz"])
+_DOMAIN = ("t", "f")
 _CELL_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+# int cells give int ranges, whose kernels the cache keeps apart from float ones
+_CELL_NUMBER = st.one_of(_CELL_FLOAT, st.integers(-(2**60), 2**60))
 
 
 @st.composite
 def _kernel_cases(draw):
     """(ranges, centroid, rows): any column order, missing cells on both
-    sides, constant, all-missing and overflowing numeric columns, and
-    centroid values drawn apart from the rows."""
-    kinds = draw(st.lists(st.sampled_from(["numeric", "date", "text"]), min_size=1, max_size=5))
+    sides, constant, all-missing and overflowing numeric columns, int and
+    float cells, and centroid values drawn apart from the rows."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", "date", "nominal", "text"]), min_size=1, max_size=5))
     n = draw(st.integers(0, 6))
     columns = []
     for kind in kinds:
         if kind == "text":
             cells = st.one_of(st.just(MISSING), _CELL_TEXT)
+        elif kind == "nominal":
+            cells = st.one_of(st.just(MISSING), st.sampled_from(_DOMAIN))
         else:
-            shape = draw(st.sampled_from(["free", "constant", "missing"]))
-            value = draw(_CELL_FLOAT)
+            shape = draw(st.sampled_from(["free", "int", "constant", "missing"]))
+            value = draw(_CELL_NUMBER)
             cells = {
-                "free": st.one_of(st.just(MISSING), _CELL_FLOAT),
+                "free": st.one_of(st.just(MISSING), _CELL_NUMBER),
+                "int": st.one_of(st.just(MISSING), st.integers(-(2**60), 2**60)),
                 "constant": st.one_of(st.just(MISSING), st.just(value)),
                 "missing": st.just(MISSING),
             }[shape]
         columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
-    schema = [AttributeSpec(f"c{j}", kind) for j, kind in enumerate(kinds)]
+    schema = [
+        AttributeSpec(f"c{j}", kind, _DOMAIN if kind == "nominal" else ())
+        for j, kind in enumerate(kinds)
+    ]
     rows = [list(cells) for cells in zip(*columns)] if n else []
     centroid = [
-        draw(st.one_of(st.just(MISSING), _CENTROID_TEXT if kind == "text" else _CELL_FLOAT))
+        draw(st.one_of(st.just(MISSING), {
+            "text": _CENTROID_TEXT, "nominal": st.sampled_from(_DOMAIN)
+        }.get(kind, _CELL_NUMBER)))
         for kind in kinds
     ]
     return attribute_ranges(Dataset(schema, rows)), centroid, rows
@@ -175,6 +187,30 @@ def test_kernel_matches_oracle_distance(case):
     assert [d.hex() for d in row_kernel(ranges)(centroid, [centroid])] == [
         oracle_distance(centroid, centroid, ranges).hex()
     ]
+
+
+def _constants(code):
+    for c in code.co_consts:
+        yield from _constants(c) if hasattr(c, "co_consts") else [c]
+
+
+def test_kernel_keeps_each_range_bound_by_name():
+    # inf, nan and 0 take the kernel's odd paths (0/inf, nan quotients, a
+    # zero range decided when the kernel is made); 3 and 3.0 divide
+    # 2**53 + 1 differently. No range may be inlined as a constant.
+    cells = [0, 1, 2**53 + 1, 2.5, -7.0, 1e308, -1e308, MISSING]
+    ranges = [math.inf, math.nan, 0, 3, 3.0]
+    for rng in ranges:
+        kernel = row_kernel([rng, None])
+        for x in cells:
+            rows = [[c, "a"] for c in cells]
+            assert [d.hex() for d in kernel([x, "b"], rows)] == [
+                oracle_distance([x, "b"], row, [rng, None]).hex() for row in rows
+            ]
+    kernel = row_kernel(ranges)
+    assert all(kernel.__globals__[f"R{j}"] is rng for j, rng in enumerate(ranges))
+    inlined = {(type(c), repr(c)) for c in _constants(kernel.__code__)}
+    assert not inlined & {(type(rng), repr(rng)) for rng in ranges}
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 100]))

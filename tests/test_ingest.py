@@ -3,6 +3,7 @@ import email.header
 import itertools
 import os
 import random
+import tracemalloc
 from datetime import datetime, timezone
 
 import pytest
@@ -16,7 +17,7 @@ from mailminer import (
     parse_eml,
     scan_corpus,
 )
-from mailminer.ingest import _MAX_NESTING, _split_segments, decode_encoded_words, iter_corpus
+from mailminer.ingest import _MAX_NESTING, _eml_files, _split_segments, decode_encoded_words, iter_corpus
 
 from helpers import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, oracle_split_segments, run_cli
 
@@ -201,6 +202,22 @@ def test_iter_corpus_checks_the_directory_at_the_call(tmp_path):
     for directory in (tmp_path / "nope", FIXTURE_CORPUS / "01_win_big_1.eml"):
         with pytest.raises(DirectoryUnreadable):
             iter_corpus(directory, [])
+
+
+def test_enumeration_holds_only_the_paths_it_keeps(tmp_path):
+    # the directory's entries are not listed all at once beside the paths:
+    # the peak was about 3.4x the kept list when they were
+    for i in range(800):
+        (tmp_path / f"m{i:04d}.eml").write_bytes(b"x")
+    _eml_files(tmp_path)  # warm-up: first-call allocations are not the enumeration's
+    tracemalloc.start()
+    try:
+        files = _eml_files(tmp_path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(files) == 800
+    assert peak <= 2 * kept
 
 
 def test_iter_corpus_reads_a_file_only_when_it_is_reached(tmp_path):
