@@ -167,12 +167,8 @@ def _kernel_cases(draw):
         for j, kind in enumerate(kinds)
     ]
     rows = [list(cells) for cells in zip(*columns)] if n else []
-    centroid = [
-        draw(st.one_of(st.just(MISSING), {
-            "text": _CENTROID_TEXT, "nominal": st.sampled_from(_DOMAIN)
-        }.get(kind, _CELL_NUMBER)))
-        for kind in kinds
-    ]
+    centroid_cells = {"text": _CENTROID_TEXT, "nominal": st.sampled_from(_DOMAIN)}
+    centroid = [draw(st.one_of(st.just(MISSING), centroid_cells.get(kind, _CELL_NUMBER))) for kind in kinds]
     return attribute_ranges(Dataset(schema, rows)), centroid, rows
 
 
@@ -199,11 +195,11 @@ def test_kernel_keeps_each_range_bound_by_name():
     # zero range decided when the kernel is made); 3 and 3.0 divide
     # 2**53 + 1 differently. No range may be inlined as a constant.
     cells = [0, 1, 2**53 + 1, 2.5, -7.0, 1e308, -1e308, MISSING]
+    rows = [[c, "a"] for c in cells]
     ranges = [math.inf, math.nan, 0, 3, 3.0]
     for rng in ranges:
         kernel = row_kernel([rng, None])
         for x in cells:
-            rows = [[c, "a"] for c in cells]
             assert [d.hex() for d in kernel([x, "b"], rows)] == [
                 oracle_distance([x, "b"], row, [rng, None]).hex() for row in rows
             ]

@@ -205,8 +205,8 @@ def test_iter_corpus_checks_the_directory_at_the_call(tmp_path):
 
 
 def test_enumeration_holds_only_the_paths_it_keeps(tmp_path):
-    # the directory's entries are not listed all at once beside the paths:
-    # the peak was about 3.4x the kept list when they were
+    # entries come from the scandir iterator one at a time, so the paths
+    # kept set the peak, not a list of every entry of the directory
     for i in range(800):
         (tmp_path / f"m{i:04d}.eml").write_bytes(b"x")
     _eml_files(tmp_path)  # warm-up: first-call allocations are not the enumeration's
