@@ -50,18 +50,19 @@ def summarize(model, ds):
 
 
 def top_senders(records, n):
-    """Rank sender addresses by message count (ties by address) over any
-    iterable of records.
+    """rank_senders over the From addresses of any iterable of records."""
+    return rank_senders((rec.from_addr for rec in records), n)
 
-    Records without a From address are pooled under "(unknown)" so the
-    counts always add up to the corpus size.
+
+def rank_senders(addresses, n):
+    """Rank sender addresses by message count (ties by address).
+
+    A missing address is pooled under "(unknown)", so the counts always
+    add up to the corpus size.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    counts = Counter(
-        rec.from_addr if rec.from_addr is not MISSING else UNKNOWN_SENDER
-        for rec in records
-    )
+    counts = Counter(addr if addr is not MISSING else UNKNOWN_SENDER for addr in addresses)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     total = sum(counts.values())
     entries = tuple(

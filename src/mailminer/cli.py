@@ -74,13 +74,13 @@ def _usage(message):
     return EXIT_USAGE
 
 
-def _scan(args, consume):
-    """consume(the records of args.dir, streamed), then the record count and
-    the skip-list on stderr; a bad directory fails before consume runs."""
+def _scan(args, consume, read):
+    """consume(read's value for each message of args.dir, streamed), then the
+    count and the skip-list on stderr; a bad directory fails before consume."""
     from .ingest import iter_corpus
 
     skipped = []
-    records = iter_corpus(args.dir, skipped)
+    records = iter_corpus(args.dir, skipped, read)
     tally = itertools.count()  # zip draws from it only for a record it yields
     result = consume(record for record, _ in zip(records, tally))
     if not args.quiet:
@@ -95,10 +95,12 @@ def _split_attrs(spec_text):
 
 
 def cmd_convert(args):
+    from .ingest import read_record
+
     attrs = _checked_selection(_split_attrs(args.attrs))  # before the scan
     writer = write_csv if args.format == "csv" else write_arff
     # the writer opens --out before it reads a row, so a bad --out fails before the scan
-    _scan(args, lambda records: writer(_streamed_dataset(records, attrs), args.out or sys.stdout))
+    _scan(args, lambda records: writer(_streamed_dataset(records, attrs), args.out or sys.stdout), read_record)
     return EXIT_OK
 
 
@@ -138,17 +140,18 @@ def cmd_dupes(args):
 
 
 def cmd_top_senders(args):
-    from .analysis import render_report, top_senders
+    from .analysis import rank_senders, render_report
+    from .ingest import read_sender
 
     if args.n < 1:
         return _usage("-n must be >= 1")
 
-    def report(records):
+    def report(senders):
         # --out is opened before the first file is read, so a bad --out fails before the scan
         with _open_sink(args.out or sys.stdout) as f:
-            render_report(top_senders(records, args.n), "text", f)
+            render_report(rank_senders(senders, args.n), "text", f)
 
-    _scan(args, report)
+    _scan(args, report, read_sender)
     return EXIT_OK
 
 

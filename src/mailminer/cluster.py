@@ -143,7 +143,13 @@ def _nearest(kernel, centroids, rows):
 
 
 def _sse(kernel, rows, centroids, assignment):
-    return _left_sum([kernel(centroids[ci], [row])[0] ** 2 for row, ci in zip(rows, assignment)])
+    """One kernel call per cluster on its members, squares summed in row order."""
+    squares = [0.0] * len(rows)
+    for ci, centroid in enumerate(centroids):
+        members = [i for i, cj in enumerate(assignment) if cj == ci]
+        for i, d in zip(members, kernel(centroid, [rows[i] for i in members])):
+            squares[i] = d ** 2
+    return _left_sum(squares)
 
 
 def kmeans(ds, cfg, initial_centroids=None):

@@ -15,13 +15,15 @@ import email.utils
 import functools
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import timezone
 from pathlib import Path
 
 from .core import MISSING, DirectoryUnreadable, MalformedInput
 
-_SEPARATOR = re.compile(r"\r?\n\r?\n")
+# The first blank line; the CR of a CRLF before it goes with the last header
+# line's strip, and a literal first character lets the search skip ahead.
+_SEPARATOR = re.compile(r"\n\r?\n")
 _BOUNDARY_QUOTED = re.compile(r'boundary\s*=\s*"([^"]*)"', re.IGNORECASE)
 _BOUNDARY_BARE = re.compile(r"boundary\s*=\s*([^;\s]+)", re.IGNORECASE)
 _ENCODED_WORD = re.compile(r"=\?([^?]+)\?([bBqQ])\?([^? ]*)\?=")
@@ -55,14 +57,14 @@ class RawEmail:
 
     headers: tuple  # ((name, value), ...) in order of appearance
     body_parts: tuple  # (content_type, ...) of the leaf MIME parts
+    index: dict = field(compare=False, repr=False)  # see _parse_header_block
 
     def get(self, name):
         """First header value with the given name, case-insensitive."""
-        return _first_header(self.headers, name)
+        return _first(self.index, name.lower())
 
     def get_all(self, name):
-        low = name.lower()
-        return [v for hname, v in self.headers if hname.lower() == low]
+        return list(self.index.get(name.lower(), ()))
 
 
 @dataclass(frozen=True)
@@ -90,46 +92,43 @@ class ScanResult:
 
 
 def _parse_header_block(text):
-    """Header lines to (name, value) pairs; folded continuations are
-    joined with a single space. Lines with no colon are ignored. Lines
-    end at "\n" or "\r\n" only, so a form feed, U+0085 or U+2028 in a
-    value is part of it."""
-    headers = []
+    """Header lines to (name, value) pairs, and an index from each
+    lowercased name to its values in order. Folded continuations are
+    joined with a single space, once for each header that folds. Lines
+    with no colon are ignored. Lines end at "\n" or "\r\n" only, so a form
+    feed, U+0085 or U+2028 in a value is part of it."""
+    pairs = []
+    folds = {}  # position in pairs -> the pieces of a header that folds
     for line in text.split("\n"):  # the CR of a CRLF goes with the strip
-        if not line.strip():
-            continue
-        if line[:1] in (" ", "\t") and headers:
-            name, value = headers[-1]
-            headers[-1] = (name, value + " " + line.strip())
+        if line[:1] in (" ", "\t") and pairs:
+            if piece := line.strip():
+                folds.setdefault(len(pairs) - 1, [pairs[-1][1]]).append(piece)
         elif ":" in line:
             name, _, value = line.partition(":")
-            headers.append((name.strip(), value.strip()))
-        # else: stray line (e.g. mbox "From " marker), skip it
-    return headers
+            pairs.append((name.strip(), value.strip()))
+        # else: a blank or stray line (e.g. mbox "From " marker), skip it
+    for i, pieces in folds.items():
+        pairs[i] = (pairs[i][0], " ".join(pieces))
+    index = {}
+    for name, value in pairs:
+        index.setdefault(name.lower(), []).append(value)
+    return pairs, index
 
 
-def _first_header(headers, name):
-    """The first value of the named header in (name, value) pairs,
-    case-insensitive, or None."""
-    low = name.lower()
-    for hname, value in headers:
-        if hname.lower() == low:
-            return value
-    return None
+def _first(index, low):
+    """The first value under a lowercased name in a header index, or None."""
+    values = index.get(low)
+    return values[0] if values else None
 
 
 def _split_head(text):
     """Text cut at its first blank line (CRLF or LF endings) into its
-    header pairs and the body after the line; with no blank line, all of
-    the text is header and the body is None."""
+    header pairs, their index and the body after the line; with no blank
+    line, all of the text is header and the body is None."""
     m = _SEPARATOR.search(text)
     if m is None:
-        return _parse_header_block(text), None
-    return _parse_header_block(text[: m.start()]), text[m.end():]
-
-
-def _main_type(ct_value):
-    return ct_value.split(";", 1)[0].strip().lower()
+        return (*_parse_header_block(text), None)
+    return (*_parse_header_block(text[: m.start()]), text[m.end():])
 
 
 def _boundary(ct_value):
@@ -175,22 +174,22 @@ def _split_segments(body_text, boundary):
     return segments
 
 
-def _part_types(headers, body, depth=1):
+def _part_types(index, body, depth=1):
     """The content types of a message's or part's leaves, given its header
-    pairs and body (None if it has none). A multipart is cut at its
+    index and body (None if it has none). A multipart is cut at its
     delimiter lines (see _split_segments) and each segment is read as a
     part, recursively, to _MAX_NESTING levels. A multipart with no boundary
     parameter, no segment or too deep is one leaf of its own type, as is any
     other part; a part without a Content-Type is text/plain."""
-    ct_value = _first_header(headers, "Content-Type")
+    ct_value = _first(index, "content-type")
     if not ct_value:
         return ["text/plain"]
-    ctype = _main_type(ct_value)
+    ctype = ct_value.split(";", 1)[0].strip().lower()
     boundary = depth <= _MAX_NESTING and ctype.startswith("multipart/") and _boundary(ct_value)
     parts = []
     if boundary:
         for segment in _split_segments(body or "", boundary):
-            parts += _part_types(*_split_head(segment), depth + 1)
+            parts += _part_types(*_split_head(segment)[1:], depth + 1)
     return parts or [ctype]
 
 
@@ -210,22 +209,24 @@ def _decode_head(data):
         return "\n".join([_decode_line(line) for line in data.split(b"\n")])
 
 
-def parse_eml(data, source_path=None):
-    """Parse raw .eml bytes into a RawEmail.
-
-    The bytes are decoded by _decode_head and cut by _split_head, as each
-    MIME part is: the header block ends at the first blank line, with CRLF
-    or LF endings. A UTF-8 sequence holds no CR or LF, so the cut falls
-    where it falls in the bytes. Raises MalformedInput when there is
-    neither a header/body separator nor a single parseable header line.
-    """
-    headers, body = _split_head(_decode_head(data))
+def _cut_message(data, source_path):
+    """The header pairs, index and body of message bytes decoded by
+    _decode_head, cut by _split_head as each MIME part is (a UTF-8 sequence
+    holds no CR or LF, so the cut falls where it falls in the bytes).
+    MalformedInput if there is neither a blank line nor a header line."""
+    headers, index, body = _split_head(_decode_head(data))
     if not headers and body is None:
         raise MalformedInput(
             f"not an email message: no header/body separator and no header line"
             + (f" in {source_path}" if source_path else "")
         )
-    return RawEmail(tuple(headers), tuple(_part_types(headers, body)))
+    return headers, index, body
+
+
+def parse_eml(data, source_path=None):
+    """Parse raw .eml bytes into a RawEmail (see _cut_message)."""
+    headers, index, body = _cut_message(data, source_path)
+    return RawEmail(tuple(headers), tuple(_part_types(index, body)), index)
 
 
 def _decode_q(text):
@@ -281,10 +282,16 @@ def _clean_addr(addr):
 # a display-name word (RFC 2047 §5), and the display name is not kept, so
 # nothing needs decoding. Decoding first would let an encoded comma or
 # angle bracket split the value.
+# The parsers read a comment recursively: past about 500 levels of "(" a
+# value is no address, on every Python (the strict parsers already read
+# unbalanced nesting so; every parser raises RecursionError on balanced).
 @functools.lru_cache(maxsize=_ADDR_CACHE_SIZE)
 def _from_addr(value):
     """The cleaned addr-spec of a From value, or MISSING."""
-    return _clean_addr(email.utils.parseaddr(value)[1])
+    try:
+        return _clean_addr(email.utils.parseaddr(value)[1])
+    except RecursionError:
+        return MISSING
 
 
 def _cc_addrs(value):
@@ -297,7 +304,10 @@ def _cc_addrs(value):
     """
     if _BARE_LIST.fullmatch(value):
         return tuple([piece.strip() for piece in value.lower().split(",")])
-    addrs = email.utils.getaddresses([value])
+    try:
+        addrs = email.utils.getaddresses([value])
+    except RecursionError:
+        return ()
     return tuple(cleaned for _, addr in addrs if (cleaned := _clean_addr(addr)))
 
 
@@ -325,8 +335,7 @@ def extract_record(raw):
         if mid:
             message_id = mid
 
-    from_header = raw.get("From")
-    from_addr = _from_addr(from_header) if from_header else MISSING
+    from_addr = _from_addr(raw.get("From") or "")
 
     cc = []
     for value in raw.get_all("Cc"):
@@ -376,9 +385,19 @@ def _eml_files(root):
     return found
 
 
-def iter_corpus(directory, skipped):
-    """The records of the .eml files under a directory, recursively, each
-    file read as the iterator reaches it.
+def read_record(data, source_path=None):
+    """The EmailRecord of a message's bytes; MalformedInput as parse_eml."""
+    return extract_record(parse_eml(data, source_path))
+
+
+def read_sender(data, source_path=None):
+    """read_record(data).from_addr, read from the cut head alone."""
+    return _from_addr(_first(_cut_message(data, source_path)[1], "from") or "")
+
+
+def iter_corpus(directory, skipped, read=read_record):
+    """read(data, path) of each .eml file under a directory, recursively,
+    each file read as the iterator reaches it; by default, its record.
 
     Enumeration: dot-files count; the ".eml" suffix matches in any case;
     a link to a .eml file is read, a linked directory is not descended,
@@ -398,21 +417,24 @@ def iter_corpus(directory, skipped):
     except OSError as exc:
         raise DirectoryUnreadable(f"cannot scan {directory}: {exc}") from exc
     files.sort(key=os.fsencode)
-    return _read_each(root, files, skipped)
+    return _read_each(str(root), files, skipped, read)
 
 
-def _read_each(root, files, skipped):
+def _read_each(root, files, skipped, read):
+    # root / rel as a plain string, as pathlib shows it ("." / rel is rel)
+    prefix = "" if root == "." else os.path.join(root, "")
     for rel in files:
-        path = root / rel
+        path = prefix + rel
         try:
-            data = path.read_bytes()
-            record = extract_record(parse_eml(data, source_path=str(path)))
+            with open(path, "rb", buffering=0) as f:
+                data = f.readall()
+            value = read(data, path)
         except MalformedInput as exc:
             skipped.append(SkipEntry(rel, str(exc)))
         except OSError as exc:
             skipped.append(SkipEntry(rel, f"read error: {exc}"))
         else:
-            yield record
+            yield value
 
 
 def scan_corpus(directory):

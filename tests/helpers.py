@@ -1,7 +1,8 @@
 """Test-side helpers that need no pytest: the fixture corpora and a CLI
 subprocess runner, and the oracles: an ARFF reader, a per-character CSV
 tokenizer and the read_csv error it implies, a regex MIME part splitter,
-a per-pair distance loop, a naive SSE recomputation, a naive silhouette,
+a header/body cut by the earlier separator pattern, a per-pair distance
+loop, a per-row SSE loop, a naive SSE recomputation, a naive silhouette,
 and a random dataset generator."""
 
 import math
@@ -231,6 +232,26 @@ def oracle_split_segments(body_text, boundary):
     return [pieces[i] for i in range(2, len(pieces), 2) if pieces[i - 1] is None]
 
 
+def oracle_split_head(text):
+    """(header pairs, body or None) by the earlier cut: the first match of
+    \\r?\\n\\r?\\n, and one pass over the header lines that extends a
+    folded value line by line; the reference for
+    mailminer.ingest._split_head."""
+    m = re.search(r"\r?\n\r?\n", text)
+    head, body = (text, None) if m is None else (text[: m.start()], text[m.end():])
+    headers = []
+    for line in head.split("\n"):
+        if not line.strip():
+            continue
+        if line[:1] in (" ", "\t") and headers:
+            name, value = headers[-1]
+            headers[-1] = (name, value + " " + line.strip())
+        elif ":" in line:
+            name, _, value = line.partition(":")
+            headers.append((name.strip(), value.strip()))
+    return headers, body
+
+
 # ---------------------------------------------------------------------------
 # Naive clustering oracles (deliberately independent of mailminer.cluster)
 
@@ -253,6 +274,15 @@ def oracle_distance(row, other, ranges):
             d = abs(x - c) / rng if rng else 0.0
         total += d * d
     return math.sqrt(total)
+
+
+def oracle_sse(ds, model, ranges):
+    """Each row's squared oracle_distance to its centroid, summed in row
+    order; the reference for the bits of mailminer.cluster.sse."""
+    return left_sum(
+        oracle_distance(row, model.centroids[ci], ranges) ** 2
+        for row, ci in zip(ds.rows, model.assignment)
+    )
 
 
 def naive_sse(ds, model):

@@ -99,6 +99,13 @@ CC_CASES = [
 ]
 
 
+# Comments nested past the parser's recursion limit, unbalanced and
+# balanced: no address on every Python (3.13.0 and 3.11.2 already read the
+# unbalanced one so; the others raised RecursionError).
+NESTED = [("unbalanced", "(" * 1000 + "a@x"), ("balanced", "(" * 1000 + ")" * 1000 + " a@x")]
+NESTED_EXPECTED = {"From": MISSING, "Cc": ()}
+
+
 def _expected(case):
     return case[-1] if STRICT else case[1]
 
@@ -114,6 +121,11 @@ def _mismatches():
         for name, cases in (("From", FROM_CASES), ("Cc", CC_CASES))
         for case in cases
         if (got := _field(name, case[0])) != _expected(case)
+    ] + [
+        (name, f"({label} nesting)", got, want)
+        for label, value in NESTED
+        for name, want in NESTED_EXPECTED.items()
+        if (got := _field(name, value)) != want
     ]
 
 
@@ -199,6 +211,12 @@ def test_from_addr_pinned(case):
 @pytest.mark.parametrize("case", CC_CASES, ids=[c[0] for c in CC_CASES])
 def test_cc_pinned(case):
     assert _field("Cc", case[0]) == _expected(case)
+
+
+@pytest.mark.parametrize("name", NESTED_EXPECTED)
+@pytest.mark.parametrize("value", [v for _, v in NESTED], ids=[label for label, _ in NESTED])
+def test_nested_comments_read_as_no_address(name, value):
+    assert _field(name, value) == NESTED_EXPECTED[name]
 
 
 _PIECES = st.one_of(

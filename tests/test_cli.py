@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import logging
 import os
@@ -12,8 +13,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from helpers import FIXTURE_CORPUS, SRC, read_arff, run_cli
-from mailminer import cli, tabular
+from helpers import FIXTURE_CORPUS, ROOT, SRC, read_arff, run_cli
+from mailminer import cli, render_report, scan_corpus, tabular, top_senders
 from mailminer.ingest import iter_corpus
 
 
@@ -204,6 +205,44 @@ def test_top_senders_report():
     proc = run_cli("top-senders", FIXTURE_CORPUS, "-n", "1")
     assert proc.returncode == 0
     assert proc.stdout.decode().splitlines()[1].startswith("spammer@x.test 6")
+
+
+def _bench_corpus():
+    """bench/corpus.py, the benchmark's seeded corpus generator, as it stands."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", ROOT / "bench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_top_senders_prints_the_ranking_of_the_scanned_records(tmp_path):
+    # top-senders reads only each head's From; on a generated corpus, with
+    # encoded-word, repeated and missing senders and malformed files, it
+    # prints what ranking the full records prints
+    corpus = _bench_corpus()
+    corpus.generate(tmp_path / "c", corpus.CorpusSpec(400, body_bytes=300), 59)
+    expected = io.StringIO()
+    render_report(top_senders(scan_corpus(tmp_path / "c").records, 10), "text", expected)
+    proc = run_cli("top-senders", tmp_path / "c")
+    assert proc.returncode == 0
+    assert proc.stdout.decode() == expected.getvalue()
+    assert "(unknown)" in expected.getvalue()
+
+
+@pytest.mark.parametrize("command", ["convert", "top-senders"])
+def test_nested_comments_in_from_and_cc_read_as_no_address(tmp_path, command):
+    # deeper than the address parser's recursion: no address, exit 0
+    deep = {"unbalanced": "(" * 1000 + "a@x.test", "balanced": "(" * 1000 + ")" * 1000 + " a@x.test"}
+    for label, value in deep.items():
+        for name in ("From", "Cc"):
+            (tmp_path / f"{label}-{name}.eml").write_bytes(f"{name}: {value}\r\nSubject: s\r\n\r\n.\r\n".encode())
+    proc = run_cli(command, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"records: 4  skipped: 0\n")
+    if command == "convert":
+        assert proc.stdout.decode().splitlines()[1:] == ["?,?,?,?,s,no"] * 4
+    else:
+        assert proc.stdout.decode().splitlines() == ["sender count share", "(unknown) 4 1.0000"]
 
 
 def test_filter_sample_full(emails_csv):
@@ -427,11 +466,6 @@ def test_scan_holds_one_message_at_a_time(tmp_path, monkeypatch, argv):
     # way). Holding every record until the scan ended, and in convert every
     # row too, made it grow by 154, 146 and 86 kB (csv, arff, top-senders).
     monkeypatch.setenv("MAILMINER_LOG", "quiet")
-    # pathlib interns each file name it parses, so the interpreter's table
-    # of interned strings is now and then rebuilt: a transient of up to a
-    # megabyte, whose timing depends on what the process interned before,
-    # not on what the scan holds
-    monkeypatch.setattr(sys, "intern", lambda text: text)
     out = str(tmp_path / "out")
     _small_corpus(tmp_path / "warm", 10)  # imports and the sender cache, filled first
     assert cli.main([argv[0], str(tmp_path / "warm"), *argv[1:], "--out", out]) == 0

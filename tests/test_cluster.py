@@ -23,7 +23,7 @@ from mailminer import (
 )
 from mailminer.cluster import row_kernel
 
-from helpers import naive_silhouette, oracle_distance, random_dataset
+from helpers import naive_silhouette, oracle_distance, oracle_sse, random_dataset
 
 
 def _numeric_ds(values, name="x"):
@@ -217,6 +217,30 @@ def test_sse_recomputed_equals_fit(seed, max_iterations):
     k = rnd.randint(1, len(ds.rows))
     model = kmeans(ds, KMeansConfig(k=k, max_iterations=max_iterations, seed=seed))
     assert sse(ds, model) == model.sse
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sse_bits_equal_the_per_row_oracle(seed):
+    # one kernel call per cluster, squares summed back in row order: the
+    # same bits as one distance per row, for sse() and for a capped fit
+    rnd = random.Random(seed)
+    ds = random_dataset(rnd, max_rows=40, min_rows=8)
+    ranges = attribute_ranges(ds)
+    model = kmeans(ds, KMeansConfig(k=3, max_iterations=2, seed=seed))
+    assert model.sse.hex() == sse(ds, model).hex() == oracle_sse(ds, model, ranges).hex()
+
+
+def test_sse_bits_with_missing_cells_and_an_emptied_cluster():
+    # the third centroid is nearest to no row, so its cluster is empty from
+    # the first pass; the fit is capped after one
+    ds = Dataset(
+        [AttributeSpec("x", "numeric"), AttributeSpec("c", "nominal", ("a", "b"))],
+        [[0.0, "a"], [MISSING, "b"], [0.3, MISSING], [9.0, "b"], [10.0, "a"], [MISSING, MISSING]],
+    )
+    ranges = attribute_ranges(ds)
+    model = kmeans(ds, KMeansConfig(k=3, max_iterations=1), [[0.0, "a"], [10.0, "b"], [1e6, "a"]])
+    assert model.iterations == 1 and model.sizes[2] == 0
+    assert model.sse.hex() == sse(ds, model).hex() == oracle_sse(ds, model, ranges).hex()
 
 
 def test_hand_trace_two_clusters():

@@ -3,6 +3,7 @@ import email.header
 import itertools
 import os
 import random
+import timeit
 import tracemalloc
 from datetime import datetime, timezone
 
@@ -17,9 +18,17 @@ from mailminer import (
     parse_eml,
     scan_corpus,
 )
-from mailminer.ingest import _MAX_NESTING, _eml_files, _split_segments, decode_encoded_words, iter_corpus
+from mailminer.ingest import (
+    _MAX_NESTING,
+    _eml_files,
+    _split_head,
+    _split_segments,
+    decode_encoded_words,
+    iter_corpus,
+    read_sender,
+)
 
-from helpers import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, oracle_split_segments, run_cli
+from helpers import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, oracle_split_head, oracle_split_segments, run_cli
 
 
 def _record(raw_bytes):
@@ -35,6 +44,74 @@ def test_parse_minimal():
 def test_header_unfolding_joins_with_single_space():
     raw = parse_eml(b"Subject: line1\r\n line2\r\n\r\n.")
     assert raw.get("Subject") == "line1 line2"
+
+
+def _folded_subject_seconds(lines):
+    data = ("Subject: s" + "\r\n x" * lines + "\r\n\r\n.").encode()
+    return min(timeit.repeat(lambda: parse_eml(data), number=1, repeat=3))
+
+
+def test_folded_header_lines_take_linear_time():
+    # Joining each continuation line onto the value so far copies the value
+    # once per line, so 8x the lines took about 64x the time; joined once,
+    # it takes about 8x. No absolute time is asserted.
+    lines = 20000
+    assert parse_eml(("Subject: s" + "\r\n x" * 3 + "\r\n\r\n.").encode()).get("Subject") == "s x x x"
+    ratio = _folded_subject_seconds(8 * lines) / _folded_subject_seconds(lines)
+    assert ratio < 24, ratio
+
+
+@given(st.lists(st.sampled_from(["a", "A", ":", " ", "\t", "\r", "\n", "\r\n"]), max_size=40).map("".join))
+@example("a: b\r\n\r\nc")
+@example("a: b\r\n\nc\n")
+@example("a: b\n \r\n\t\n\r\r\n")
+def test_split_head_matches_the_earlier_cut(text):
+    pairs, index, body = _split_head(text)
+    assert (pairs, body) == oracle_split_head(text)
+    by_name = {}
+    for name, value in pairs:
+        by_name.setdefault(name.lower(), []).append(value)
+    assert index == by_name
+
+
+_SENDER_VALUES = st.sampled_from([
+    "a@x.test", "Ann <A@X.test>", "=?utf-8?q?J=C3=B6rg?= <jo@x.test>", "=?utf-8?b?RG9lLCBK?= <j@x>",
+    "no-at-sign", "", "(c) b@y", "a@x,b@y", "(" * 600 + "a@x",
+]) | st.text(max_size=12)
+
+
+@st.composite
+def _sender_messages(draw):
+    """Message bytes whose head holds From headers (in any case, repeated,
+    folded or not) among others, with CRLF, LF or bare-CR endings, and a
+    blank line or none."""
+    eol = draw(st.sampled_from(["\r\n", "\n", "\r"]))
+    lines = [
+        draw(st.sampled_from(["From", "from", "FROM", " From", "Subject", "Cc", "X"]))
+        + ": " + draw(_SENDER_VALUES)
+        + draw(st.sampled_from(["", eol + " folded@x.test", eol + "\t(c)", eol + " "]))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    separator = draw(st.sampled_from(["", eol, eol + eol, "\r\n\n", "\n\r\n"]))
+    body = draw(st.binary(max_size=20))
+    return (eol.join(lines) + separator).encode("utf-8", "surrogatepass") + body
+
+
+@given(_sender_messages() | st.binary())
+@example(b"")
+@example(b"From: a@x.test")
+@example(b"From: a@x.test\rSubject: s\r\r")
+def test_read_sender_is_the_records_from(data):
+    # the same address, and MalformedInput (with the same message) on
+    # exactly the same bytes
+    try:
+        expected = extract_record(parse_eml(data, "m.eml")).from_addr
+    except MalformedInput as exc:
+        with pytest.raises(MalformedInput) as got:
+            read_sender(data, "m.eml")
+        assert str(got.value) == str(exc)
+    else:
+        assert read_sender(data, "m.eml") == expected
 
 
 def test_lf_only_line_endings():
