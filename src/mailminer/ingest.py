@@ -131,6 +131,10 @@ def _split_head(text):
     return (*_parse_header_block(text[: m.start()]), text[m.end():])
 
 
+def _main_type(ct_value):
+    return ct_value.split(";", 1)[0].strip().lower()
+
+
 def _boundary(ct_value):
     m = _BOUNDARY_QUOTED.search(ct_value) or _BOUNDARY_BARE.search(ct_value)
     return m.group(1) if m else None
@@ -184,7 +188,7 @@ def _part_types(index, body, depth=1):
     ct_value = _first(index, "content-type")
     if not ct_value:
         return ["text/plain"]
-    ctype = ct_value.split(";", 1)[0].strip().lower()
+    ctype = _main_type(ct_value)
     boundary = depth <= _MAX_NESTING and ctype.startswith("multipart/") and _boundary(ct_value)
     parts = []
     if boundary:
