@@ -130,11 +130,8 @@ def cmd_cluster(args):
 def cmd_dupes(args):
     from .analysis import render_report
 
-    attrs = _split_attrs(args.attrs)
-    if not attrs:
-        return _usage("--attrs must name at least one attribute")
     ds = read_csv(args.csv, kind_hints=CANONICAL_HINTS, relation_name="emails")
-    profile = duplicate_profile(ds, attrs)
+    profile = duplicate_profile(ds, _split_attrs(args.attrs))
     render_report(profile, "text", args.out or sys.stdout)
     return EXIT_OK
 
@@ -176,7 +173,7 @@ def cmd_filter(args):
     if args.sample is not None and not 0 < args.sample <= 1:
         return _usage("--sample fraction must be in (0, 1]")
     ds = read_csv(args.csv, kind_hints=hints, relation_name="emails")
-    if args.remove:
+    if args.remove is not None:
         out = filter_remove(ds, _split_attrs(args.remove))
     elif args.sample is not None:
         out = filter_sample(ds, args.sample, args.seed)

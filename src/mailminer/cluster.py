@@ -115,11 +115,11 @@ def distance(row, other, ranges):
     return row_kernel(ranges)(row, [other])[0]
 
 
-def _centroid(rows, members, ranges):
-    """Cluster representative; members are row indices in dataset order."""
+def _centroid(members, ranges):
+    """Cluster representative; members are its rows in dataset order."""
     cells = []
-    for j, rng in enumerate(ranges):
-        present = [rows[i][j] for i in members if rows[i][j] is not MISSING]
+    for rng, column in zip(ranges, zip(*members)):
+        present = [v for v in column if v is not MISSING]
         if not present:
             cells.append(MISSING)
         elif rng is not None:
@@ -196,13 +196,16 @@ def kmeans(ds, cfg, initial_centroids=None):
             # the centroids have not moved since this pass
             total_sse = _left_sum([d ** 2 for d in dists])
             break
+        # neither list of n is held into the next pass or a capped fit's SSE
+        del dists
         assignment = new_assignment
         members = [[] for _ in range(k)]
-        for i, ci in enumerate(assignment):
-            members[ci].append(i)
-        for ci in range(k):
-            if members[ci]:
-                centroids[ci] = _centroid(rows, members[ci], ranges)
+        for row, ci in zip(rows, assignment):
+            members[ci].append(row)
+        for ci, cluster in enumerate(members):
+            if cluster:
+                centroids[ci] = _centroid(cluster, ranges)
+        del members
     else:
         # capped: the last update moved the centroids
         total_sse = _sse(kernel, rows, centroids, assignment)

@@ -15,6 +15,7 @@ import email.utils
 import functools
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from datetime import timezone
 from pathlib import Path
@@ -24,6 +25,8 @@ from .core import MISSING, DirectoryUnreadable, MalformedInput
 # The first blank line; the CR of a CRLF before it goes with the last header
 # line's strip, and a literal first character lets the search skip ahead.
 _SEPARATOR = re.compile(r"\n\r?\n")
+# A name holds a surrogate only where it escapes a byte that is not UTF-8.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _BOUNDARY_QUOTED = re.compile(r'boundary\s*=\s*"([^"]*)"', re.IGNORECASE)
 _BOUNDARY_BARE = re.compile(r"boundary\s*=\s*([^;\s]+)", re.IGNORECASE)
 _ENCODED_WORD = re.compile(r"=\?([^?]+)\?([bBqQ])\?([^? ]*)\?=")
@@ -420,7 +423,12 @@ def iter_corpus(directory, skipped, read=read_record):
         files = _eml_files(root)
     except OSError as exc:
         raise DirectoryUnreadable(f"cannot scan {directory}: {exc}") from exc
-    files.sort(key=os.fsencode)
+    # code point order is UTF-8 byte order, so only an escaped byte or
+    # another file-system encoding needs a bytes key per path
+    if sys.getfilesystemencoding() == "utf-8" and not any(map(_SURROGATE.search, files)):
+        files.sort()
+    else:
+        files.sort(key=os.fsencode)
     return _read_each(str(root), files, skipped, read)
 
 

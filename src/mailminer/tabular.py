@@ -14,7 +14,6 @@ import stat
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from operator import attrgetter
 
 from .core import (
@@ -89,11 +88,10 @@ class Dataset:
     def attribute_names(self):
         return [spec.name for spec in self.schema]
 
-    def column_index(self, name):
-        for i, spec in enumerate(self.schema):
-            if spec.name == name:
-                return i
-        raise UnknownAttribute(f"no attribute named {name!r}")
+    def column_indices(self, selected):
+        """The column of each selected name, checked by _checked_selection."""
+        names = self.attribute_names()
+        return [names.index(name) for name in _checked_selection(selected, names)]
 
 
 @dataclass(frozen=True)
@@ -119,22 +117,19 @@ def _repeated(names):
     return next((name for name, n in Counter(names).items() if n > 1), None)
 
 
-def _refuse_repeated(names):
-    repeated = _repeated(names)
-    if repeated is not None:
-        raise UnknownAttribute(f"attribute {repeated!r} selected more than once")
-
-
-def _checked_selection(selected):
-    """The selected names as a list, or UnknownAttribute unless they are
-    canonical attribute names, at least one and each at most once."""
+def _checked_selection(selected, names=CANONICAL_ATTRIBUTES):
+    """The one rule for names selected from a schema: the selected names
+    as a list, or UnknownAttribute unless there is at least one, each is
+    one of names (by default the canonical attributes) and none repeats."""
     selected = list(selected)
     if not selected:
         raise UnknownAttribute("attribute selection is empty")
     for name in selected:
-        if name not in CANONICAL_ATTRIBUTES:
+        if name not in names:
             raise UnknownAttribute(f"unknown attribute {name!r}")
-    _refuse_repeated(selected)
+    repeated = _repeated(selected)
+    if repeated is not None:
+        raise UnknownAttribute(f"attribute {repeated!r} selected more than once")
     return selected
 
 
@@ -247,39 +242,46 @@ _CSV_FIELD = re.compile(
 )
 
 
-def _parse_csv_text(text):
-    """RFC 4180 parse, one record at a time: each record is a list of
-    (value, was_quoted). Accepts CRLF.
+# A line of text: what runs up to and through its LF, or an unended last line.
+_LINE = re.compile(".*\n|.+")
 
-    A line that ends before the next quote is plain, and one split reads
-    it; _CSV_FIELD reads every other record, field by field.
+
+def _csv_records(lines):
+    """RFC 4180 records, one at a time, from the lines of CSV text (each
+    with its LF, but maybe the last): (the line the record starts on, its
+    fields, and for each field whether it was quoted). Accepts CRLF.
+
+    A line with no quote is split on its commas, and its quoted flags are
+    (). _CSV_FIELD reads every other record field by field; a quote still
+    open at the end of a line takes in the lines after it, until one holds
+    a quote that is not half of a "" or the lines run out. So a record
+    ends at the end of a line, as it does in the whole text.
     """
-    pos, end = 0, len(text)
-    quote = -1  # the first '"' at or after pos, or end if there is none
-    while pos < end:  # a record starts at pos
-        if quote < pos:
-            quote = text.find('"', pos)
-            if quote < 0:
-                quote = end
-        newline = text.find("\n", pos, quote)
-        if newline >= 0:  # the whole line is plain
-            line = text[pos:newline]
-            if line.endswith("\r"):  # the CR of a CRLF
-                line = line[:-1]
-            pos = newline + 1
-            yield [(v, False) for v in line.split(",")]
+    lines = iter(lines)
+    number = 0
+    for line in lines:
+        number += 1
+        start = number
+        if '"' not in line:
+            yield start, (line[:-1].removesuffix("\r") if line[-1:] == "\n" else line).split(","), ()
             continue
-        fields = []
-        sep = ","
+        fields, quoted, pos, sep = [], [], 0, ","
         while sep == ",":
-            m = _CSV_FIELD.match(text, pos)
-            quoted, rest, sep = m.groups()
-            if quoted is None:
-                fields.append((rest, False))
-            else:
-                fields.append((quoted.replace('""', '"') + rest, True))
+            m = _CSV_FIELD.match(line, pos)
+            if not m[3] and line[-1:] == "\n":  # a quote is open at the line's end
+                pieces = [line[pos:]]
+                for line in lines:
+                    number += 1
+                    pieces.append(line)
+                    if '"' in line.replace('""', ""):
+                        break
+                line, pos = "".join(pieces), 0
+                m = _CSV_FIELD.match(line)
+            value, rest, sep = m.groups()
+            fields.append(rest if value is None else value.replace('""', '"') + rest)
+            quoted.append(value is not None)
             pos = m.end()
-        yield fields
+        yield start, fields, quoted
 
 
 def _hinted_spec(name, hint):
@@ -292,12 +294,15 @@ def _hinted_spec(name, hint):
 
 
 def _cell_parser(spec):
-    """value -> cell for one column's present cells; a bad value raises
-    ValueError naming the column."""
+    """parse(value, value) -> cell, for one column's present cells; a bad
+    value raises ValueError naming the column. The value comes twice so
+    that a text column's parser can be its own table's dict.setdefault:
+    equal text cells come back as the first one read, as equal labels
+    come back as the domain's own string."""
     def bad(value, what):
         return ValueError(f"column {spec.name!r}: {what}: {value!r}")
 
-    def number(value):
+    def number(value, _):
         try:
             x = float(value)
         except ValueError:
@@ -306,16 +311,16 @@ def _cell_parser(spec):
             raise bad(value, "not a finite number")
         return x
 
-    # each label maps to the domain's own string, so equal cells share one object
+    # each label maps to the domain's own string
     domain = {v: v for v in spec.nominal_domain}
 
-    def label(value):
+    def label(value, _):
         cell = domain.get(value)
         if cell is None:
             raise bad(value, "not in the nominal domain")
         return cell
 
-    return number if spec.is_number else label if spec.kind == "nominal" else str
+    return number if spec.is_number else label if spec.kind == "nominal" else {}.setdefault
 
 
 def read_csv(source, kind_hints=None, relation_name="data"):
@@ -326,26 +331,52 @@ def read_csv(source, kind_hints=None, relation_name="data"):
     for a header column raises ValueError. A header name that occurs
     twice is MalformedInput. With hints matching the original schema,
     write_csv -> read_csv is an identity.
+
+    A path is read and decoded a line at a time; a file that is not UTF-8
+    is MalformedInput naming the line of its first bad byte, whatever
+    else is wrong with it. A stream is read whole.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as f:
-            data = f.read()
+    with _source_lines(source) as lines:
         try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise MalformedInput(f"line {line}: not valid UTF-8") from None
-        del data  # not kept alive through the parse
-    else:
-        text = source.read()
-    # a byte-order mark is not part of the first header name
-    text = text.removeprefix("\ufeff")
-    # each record is typed as it is parsed, so no parsed copy of the text is held
-    records = _parse_csv_text(text)
+            return _read_records(_csv_records(lines), kind_hints, relation_name)
+        except (ValueError, MalformedInput, RaggedRow):
+            bad = _first_bad_line(source) if isinstance(source, (str, os.PathLike)) else None
+            if bad is None:
+                raise
+    raise MalformedInput(f"line {bad}: not valid UTF-8")
+
+
+@contextlib.contextmanager
+def _source_lines(source):
+    """The lines of a CSV source, each with its LF, less a leading
+    byte-order mark (not part of the first header name): a path's are read
+    and decoded one at a time, a stream is read whole."""
+    if not isinstance(source, (str, os.PathLike)):
+        yield map(re.Match.group, _LINE.finditer(source.read().removeprefix("\ufeff")))
+        return
+    # utf-8-sig drops the mark; newline="\n" keeps a bare CR inside its line
+    with open(source, encoding="utf-8-sig", newline="\n") as f:
+        yield f
+
+
+def _first_bad_line(path):
+    """The number of the first line of a file that is not UTF-8, or None."""
+    with open(path, "rb") as f:
+        for number, line in enumerate(f, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return None
+
+
+def _read_records(records, kind_hints, relation_name):
+    """The Dataset of _csv_records' records; each is typed into its row as
+    it comes, so no parsed copy of the file is held."""
     first = next(records, None)
     if first is None:
         raise MalformedInput("empty CSV input: no header row")
-    header = [v for v, _ in first]
+    header = first[1]
     repeated = _repeated(header)
     if repeated is not None:
         # a second column of one name could never be selected by name
@@ -353,25 +384,17 @@ def read_csv(source, kind_hints=None, relation_name="data"):
     hints = dict(kind_hints or {})
     schema = [_hinted_spec(name, hints.get(name)) for name in header]
     parsers = [_cell_parser(spec) for spec in schema]
-
-    def line_of(i):
-        """The line record i starts on; quoted fields may hold line breaks.
-        It parses the first i records again, so only an error pays for it."""
-        before = islice(_parse_csv_text(text), i)
-        return 1 + i + sum(v.count("\n") for row in before for v, quoted in row if quoted)
-
     rows = []
-    for i, fields in enumerate(records, 1):
+    for number, fields, quoted in records:
         if len(fields) != len(header):
-            raise RaggedRow(
-                f"line {line_of(i)}: {len(fields)} fields, header has {len(header)}"
-            )
+            raise RaggedRow(f"line {number}: {len(fields)} fields, header has {len(header)}")
         try:
-            rows.append(
-                [MISSING if v == "?" and not q else parse(v) for (v, q), parse in zip(fields, parsers)]
-            )
+            if quoted:  # a quoted "?" is text, not missing
+                rows.append([MISSING if v == "?" and not q else parse(v, v) for v, q, parse in zip(fields, quoted, parsers)])
+            else:
+                rows.append([MISSING if v == "?" else parse(v, v) for v, parse in zip(fields, parsers)])
         except ValueError as exc:
-            raise MalformedInput(f"line {line_of(i)}, {exc}") from None
+            raise MalformedInput(f"line {number}, {exc}") from None
     return Dataset(schema, rows, relation_name=relation_name)
 
 
@@ -423,8 +446,9 @@ def write_arff(ds, sink):
 # Filters
 
 def filter_remove(ds, names):
-    """Drop the named columns; the rest keep their order."""
-    drop = {ds.column_index(n) for n in names}
+    """Drop the named columns (at least one, each named once); the rest
+    keep their order."""
+    drop = set(ds.column_indices(names))
     keep = [i for i in range(ds.n_cols) if i not in drop]
     if not keep:
         raise EmptyResultSchema("remove would drop every column")
@@ -457,7 +481,7 @@ def filter_discretize(ds, name, n_bins):
     Bins are half-open except the last, which is closed so the maximum
     lands in bN. Missing cells stay missing.
     """
-    j = ds.column_index(name)
+    [j] = ds.column_indices([name])
     spec = ds.schema[j]
     if not spec.is_number:
         raise NotNumeric(f"attribute {name!r} is {spec.kind}, not numeric")
@@ -483,8 +507,7 @@ def filter_discretize(ds, name, n_bins):
 def duplicate_profile(ds, projection):
     """Count rows whose projected tuple is unique vs repeated; each name
     must be a column, named once."""
-    idx = [ds.column_index(n) for n in projection]
-    _refuse_repeated(projection)
+    idx = ds.column_indices(projection)
     counts = Counter(tuple(row[i] for i in idx) for row in ds.rows)
     n_identical = sum(c for c in counts.values() if c >= 2)
     return DuplicateProfile(tuple(projection), ds.n_rows - n_identical, n_identical)

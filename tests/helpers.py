@@ -123,7 +123,7 @@ def read_arff(text):
 
 def oracle_parse_csv_text(text):
     """Per-character RFC 4180 parse to rows of (value, was_quoted); the
-    reference for mailminer.tabular._parse_csv_text."""
+    reference for mailminer.tabular._csv_records."""
     rows = []
     fields = []
     chars = []
@@ -186,21 +186,29 @@ def oracle_parse_csv_text(text):
     return rows
 
 
+def oracle_record_lines(parsed):
+    """The line each record of oracle_parse_csv_text's rows starts on: one
+    more than the line breaks before it, those inside quoted fields too."""
+    lines, line = [], 1
+    for row in parsed:
+        lines.append(line)
+        line += 1 + sum(v.count("\n") for v, quoted in row if quoted)
+    return lines
+
+
 def oracle_read_csv_error(text, kinds):
     """What read_csv raises on text, as (exception class name, message),
     or None if it reads. kinds maps a column name to "numeric" or to a
     nominal domain tuple; other columns are text. The header must name
-    each column once. Line numbers come from the list of every record,
-    the way the reader counted them before it streamed."""
+    each column once. Line numbers come from the list of every record
+    (oracle_record_lines), not from counting the lines read."""
     parsed = oracle_parse_csv_text(text)
     header = [v for v, _ in parsed[0]]
-
-    def line_of(i):
-        return 1 + i + sum(v.count("\n") for row in parsed[:i] for v, quoted in row if quoted)
+    lines = oracle_record_lines(parsed)
 
     for i, fields in enumerate(parsed[1:], 1):
         if len(fields) != len(header):
-            return "RaggedRow", f"line {line_of(i)}: {len(fields)} fields, header has {len(header)}"
+            return "RaggedRow", f"line {lines[i]}: {len(fields)} fields, header has {len(header)}"
         for name, (value, quoted) in zip(header, fields):
             kind = kinds.get(name)
             if kind is None or (value == "?" and not quoted):
@@ -214,7 +222,7 @@ def oracle_read_csv_error(text, kinds):
             else:
                 ok, what = value in kind, "not in the nominal domain"
             if not ok:
-                return "MalformedInput", f"line {line_of(i)}, column {name!r}: {what}: {value!r}"
+                return "MalformedInput", f"line {lines[i]}, column {name!r}: {what}: {value!r}"
     return None
 
 

@@ -201,6 +201,30 @@ def test_dupes_bad_attrs(emails_csv):
     assert run_cli("dupes", emails_csv, "--attrs", "Bogus").returncode == 1
 
 
+# One rule for names selected from a schema, in one set of words: at least
+# one name, each known, each once. `filter --remove ""` used to end in a
+# TypeError traceback.
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["dupes", "{csv}", "--attrs", ""], "attribute selection is empty"),
+        (["filter", "{csv}", "--remove", ""], "attribute selection is empty"),
+        (["filter", "{csv}", "--remove", ","], "attribute selection is empty"),
+        (["convert", "{corpus}", "--attrs", "Bogus"], "unknown attribute 'Bogus'"),
+        (["dupes", "{csv}", "--attrs", "From,Bogus"], "unknown attribute 'Bogus'"),
+        (["filter", "{csv}", "--remove", "Bogus"], "unknown attribute 'Bogus'"),
+        (["filter", "{csv}", "--discretize", "Bogus:3"], "unknown attribute 'Bogus'"),
+        (["dupes", "{csv}", "--attrs", "From,From"], "attribute 'From' selected more than once"),
+        (["filter", "{csv}", "--remove", "From,CC,From"], "attribute 'From' selected more than once"),
+    ],
+)
+def test_one_attribute_name_rule(emails_csv, argv, message):
+    argv = [str(emails_csv) if a == "{csv}" else FIXTURE_CORPUS if a == "{corpus}" else a for a in argv]
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == f"mailminer: error: {message}\n"
+
+
 def test_top_senders_report():
     proc = run_cli("top-senders", FIXTURE_CORPUS, "-n", "1")
     assert proc.returncode == 0

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -241,6 +243,42 @@ def test_sse_bits_with_missing_cells_and_an_emptied_cluster():
     model = kmeans(ds, KMeansConfig(k=3, max_iterations=1), [[0.0, "a"], [10.0, "b"], [1e6, "a"]])
     assert model.iterations == 1 and model.sizes[2] == 0
     assert model.sse.hex() == sse(ds, model).hex() == oracle_sse(ds, model, ranges).hex()
+
+
+@pytest.mark.parametrize("max_iterations", [8, 100])
+def test_fit_holds_a_few_lists_of_n_floats_above_its_rows(max_iterations):
+    # A pass holds its distances and the nearest so far; neither the last
+    # pass's distances nor the member lists of an update live on into the
+    # next pass, and members are the rows themselves, not new ints. The
+    # fit once held about 4.7 such lists at its peak.
+    rnd = random.Random(7)
+    n = 3000
+    ds = Dataset(
+        [AttributeSpec("t", "numeric"), AttributeSpec("id", "text"), AttributeSpec("cc", "text"),
+         AttributeSpec("from", "text"), AttributeSpec("s", "text"), AttributeSpec("h", "nominal", ("yes", "no"))],
+        [
+            [
+                float(rnd.randrange(10**9, 2 * 10**9)) if rnd.random() > 0.05 else MISSING,
+                f"id{i}",
+                rnd.choice(["a;b", "c", MISSING, "d;e"]),
+                f"u{rnd.randrange(60)}@x",
+                f"s{rnd.randrange(300)}",
+                rnd.choice(["yes", "no"]),
+            ]
+            for i in range(n)
+        ],
+    )
+    cfg = KMeansConfig(k=8, max_iterations=max_iterations, seed=3)
+    kmeans(ds, cfg)  # warm-up: the kernel is generated once per set of ranges
+    tracemalloc.start()
+    try:
+        model = kmeans(ds, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.iterations >= 8
+    n_floats = n * (8 + sys.getsizeof(1.0))  # a list slot and a float object per row
+    assert peak <= 4 * n_floats, peak / n_floats
 
 
 def test_hand_trace_two_clusters():

@@ -20,7 +20,6 @@ from mailminer import (
 )
 from mailminer.ingest import (
     _MAX_NESTING,
-    _eml_files,
     _split_head,
     _split_segments,
     decode_encoded_words,
@@ -283,19 +282,22 @@ def test_iter_corpus_checks_the_directory_at_the_call(tmp_path):
 
 
 def test_enumeration_holds_only_the_paths_it_keeps(tmp_path):
-    # entries come from the scandir iterator one at a time, so the paths
-    # kept set the peak, not a list of every entry of the directory
+    # entries come from the scandir iterator one at a time, and the paths
+    # are sorted with no key per path, so the paths kept set the peak: not
+    # a list of every entry of the directory, nor a bytes key per path
+    # (which took the peak to 1.85-1.97 times the paths)
     for i in range(800):
-        (tmp_path / f"m{i:04d}.eml").write_bytes(b"x")
-    _eml_files(tmp_path)  # warm-up: first-call allocations are not the enumeration's
+        (tmp_path / f"m{(i * 7919) % 800:04d}.eml").write_bytes(b"x")
+    iter_corpus(tmp_path, [])  # warm-up: first-call allocations are not the enumeration's
+    skipped = []
     tracemalloc.start()
     try:
-        files = _eml_files(tmp_path)
+        records = iter_corpus(tmp_path, skipped)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(files) == 800
-    assert peak <= 2 * kept
+    assert list(records) == [] and len(skipped) == 800  # "x" is no message
+    assert peak <= 1.2 * kept, peak / kept
 
 
 def test_iter_corpus_reads_a_file_only_when_it_is_reached(tmp_path):
@@ -358,18 +360,22 @@ def test_scan_truncated_file_goes_to_skip_list(tmp_path):
 
 
 def test_scan_non_utf8_file_name_in_byte_order(tmp_path):
-    root = os.fsencode(tmp_path)
+    # "\udc80.eml" (the escaped byte 0x80) sorts after "é.eml" as a str,
+    # but before it in byte order, which is the order files are read in
+    pairs = {"ff-a": (b"\xff_x.eml", b"a.eml"), "80-e-acute": (b"\x80.eml", "é.eml".encode())}
     try:
-        for name in (b"\xff_x.eml", b"a.eml"):
-            with open(os.path.join(root, name), "wb") as f:
-                f.write(b"From: " + name[:1].hex().encode() + b"@x.test\r\n\r\n.")
+        for sub, names in pairs.items():
+            (tmp_path / sub).mkdir()
+            for name in names:
+                with open(os.path.join(os.fsencode(tmp_path / sub), name), "wb") as f:
+                    f.write(b"From: " + name[:1].hex().encode() + b"@x.test\r\n\r\n.")
     except OSError as exc:
         pytest.skip(f"filesystem refuses a non-UTF-8 file name: {exc}")
-    froms = [r.from_addr for r in scan_corpus(tmp_path).records]
-    assert froms == ["61@x.test", "ff@x.test"]
+    assert [r.from_addr for r in scan_corpus(tmp_path / "ff-a").records] == ["61@x.test", "ff@x.test"]
+    assert [r.from_addr for r in scan_corpus(tmp_path / "80-e-acute").records] == ["80@x.test", "c3@x.test"]
     proc = run_cli("convert", tmp_path)
     assert proc.returncode == 0
-    assert proc.stdout.count(b"\n") == 3
+    assert proc.stdout.count(b"\n") == 5
 
 
 def test_multipart_delimiters_with_blanks_cr_and_close():
