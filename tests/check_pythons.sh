@@ -20,7 +20,7 @@ failed=""
 skipped=""
 for py in "$@"; do
     echo "== $py"
-    for check in tests/test_kernel_golden.py tests/test_addresses.py tests/test_golden.py; do
+    for check in tests/test_kernel_golden.py tests/test_addresses.py tests/test_golden.py tests/test_corpus_golden.py; do
         "$py" "$check" --check || failed="$failed $py:$check"
     done
     if "$py" -c "import pytest, hypothesis" 2>/dev/null; then
