@@ -29,11 +29,14 @@ _SEPARATOR = re.compile(r"\n\r?\n")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _BOUNDARY_QUOTED = re.compile(r'boundary\s*=\s*"([^"]*)"', re.IGNORECASE)
 _BOUNDARY_BARE = re.compile(r"boundary\s*=\s*([^;\s]+)", re.IGNORECASE)
+# The rest of a delimiter line after "--" + boundary: "--" if it closes,
+# spaces and tabs, at most one CR, and the line's end (RFC 2046 §5.1.1).
+_DELIMITER_END = re.compile(r"(--)?[ \t]*\r?(\n|\Z)")
 _ENCODED_WORD = re.compile(r"=\?([^?]+)\?([bBqQ])\?([^? ]*)\?=")
 _BAD_Q_ESCAPE = re.compile(r"=(?![0-9A-Fa-f]{2})")
 # Multipart levels read; a multipart nested deeper is one leaf of its own
-# type. Each level copies its text and costs a stack frame, so hostile
-# nesting stays cheap and never reaches the recursion limit.
+# type. Every level reads spans of the one decoded text and costs a stack
+# frame, so hostile nesting never reaches the recursion limit.
 _MAX_NESTING = 64
 # A Cc value that is only bare addr-specs, comma-separated, each piece
 # non-empty and at most padded with spaces and tabs.
@@ -124,14 +127,15 @@ def _first(index, low):
     return values[0] if values else None
 
 
-def _split_head(text):
-    """Text cut at its first blank line (CRLF or LF endings) into its
-    header pairs, their index and the body after the line; with no blank
-    line, all of the text is header and the body is None."""
-    m = _SEPARATOR.search(text)
+def _split_head(text, start, end):
+    """The span text[start:end] cut at its first blank line (CRLF or LF
+    endings) into its header pairs, their index and the (start, end) span
+    of the body after the line; with no blank line, all of the span is
+    header and the body is None. Only the header lines are copied."""
+    m = _SEPARATOR.search(text, start, end)
     if m is None:
-        return (*_parse_header_block(text), None)
-    return (*_parse_header_block(text[: m.start()]), text[m.end():])
+        return (*_parse_header_block(text[start:end]), None)
+    return (*_parse_header_block(text[start : m.start()]), (m.end(), end))
 
 
 def _main_type(ct_value):
@@ -143,60 +147,55 @@ def _boundary(ct_value):
     return m.group(1) if m else None
 
 
-def _split_segments(body_text, boundary):
-    """The text after each opening delimiter line, up to the next delimiter
-    line or the end of the body.
+def _split_segments(text, body, boundary):
+    """The (start, end) spans of text after each opening delimiter line of
+    the body span, up to the next delimiter line or the end of the body.
 
     A delimiter line is "--" + boundary, then an optional "--", then only
     spaces and tabs, then at most one "\\r" before the "\\n" (RFC 2046
-    §5.1.1). One ending in "--" is a close delimiter: it ends a segment
-    and opens none. Text before the first delimiter is dropped. A segment
-    starts with the "\\n" that ends its delimiter line and keeps the one
-    before the next. The boundary comes from a one-line header value, so
-    it holds no "\\n", and only lines found by one search for "\\n--" +
-    boundary are looked at.
+    §5.1.1; see _DELIMITER_END). One ending in "--" is a close delimiter:
+    it ends a segment and opens none. Text before the first delimiter is
+    dropped. A segment starts with the "\\n" that ends its delimiter line
+    and keeps the one before the next. A body starts after the "\\n" of
+    its blank line, so its first line is found by the same search for
+    "\\n--" + boundary as every other. The boundary comes from a one-line
+    header value, so it holds no "\\n".
     """
-    text = "\n" + body_text  # the first line starts after a "\n" too
+    start, end = body
     dash = "\n--" + boundary
     segments = []
-    start = None  # offset in text of the open segment, if any
-    pos = text.find(dash)  # offset of the "\n" before a candidate line
+    opened = None  # offset in text of the open segment, if any
+    pos = text.find(dash, start - 1, end)  # offset of the "\n" before a candidate line
     while pos >= 0:
-        eol = text.find("\n", pos + len(dash))
-        if eol < 0:
-            eol = len(text)
-        rest = text[pos + len(dash) : eol]
-        close = rest.startswith("--")
-        if close:
-            rest = rest[2:]
-        if rest.endswith("\r"):
-            rest = rest[:-1]
-        if not rest.strip(" \t"):
-            if start is not None:
-                segments.append(text[start : pos + 1])
-            start = None if close else eol
-        pos = text.find(dash, eol)
-    if start is not None:
-        segments.append(text[start:])
+        m = _DELIMITER_END.match(text, pos + len(dash), end)
+        if m:
+            if opened is not None:
+                segments.append((opened, pos + 1))
+            opened = None if m.group(1) else m.start(2)
+        pos = text.find(dash, pos + 1, end)
+    if opened is not None:
+        segments.append((opened, end))
     return segments
 
 
-def _part_types(index, body, depth=1):
+def _part_types(index, text, body, depth=1):
     """The content types of a message's or part's leaves, given its header
-    index and body (None if it has none). A multipart is cut at its
-    delimiter lines (see _split_segments) and each segment is read as a
-    part, recursively, to _MAX_NESTING levels. A multipart with no boundary
-    parameter, no segment or too deep is one leaf of its own type, as is any
-    other part; a part without a Content-Type is text/plain."""
+    index and the span of its body in text (None if it has none). A
+    multipart is cut at its delimiter lines (see _split_segments) and each
+    segment is read as a part, recursively, to _MAX_NESTING levels. A
+    multipart with no boundary parameter, no segment or too deep is one
+    leaf of its own type, as is any other part; a part without a
+    Content-Type is text/plain."""
     ct_value = _first(index, "content-type")
     if not ct_value:
         return ["text/plain"]
     ctype = _main_type(ct_value)
     boundary = depth <= _MAX_NESTING and ctype.startswith("multipart/") and _boundary(ct_value)
     parts = []
-    if boundary:
-        for segment in _split_segments(body or "", boundary):
-            parts += _part_types(*_split_head(segment)[1:], depth + 1)
+    if boundary and body:
+        for segment in _split_segments(text, body, boundary):
+            _, part_index, part_body = _split_head(text, *segment)
+            parts += _part_types(part_index, text, part_body, depth + 1)
     return parts or [ctype]
 
 
@@ -217,23 +216,25 @@ def _decode_head(data):
 
 
 def _cut_message(data, source_path):
-    """The header pairs, index and body of message bytes decoded by
-    _decode_head, cut by _split_head as each MIME part is (a UTF-8 sequence
-    holds no CR or LF, so the cut falls where it falls in the bytes).
-    MalformedInput if there is neither a blank line nor a header line."""
-    headers, index, body = _split_head(_decode_head(data))
+    """The header pairs and index of message bytes decoded by _decode_head,
+    the decoded text and the span of its body, cut by _split_head as each
+    MIME part is (a UTF-8 sequence holds no CR or LF, so the cut falls
+    where it falls in the bytes). MalformedInput if there is neither a
+    blank line nor a header line."""
+    text = _decode_head(data)
+    headers, index, body = _split_head(text, 0, len(text))
     if not headers and body is None:
         raise MalformedInput(
             f"not an email message: no header/body separator and no header line"
             + (f" in {source_path}" if source_path else "")
         )
-    return headers, index, body
+    return headers, index, text, body
 
 
 def parse_eml(data, source_path=None):
     """Parse raw .eml bytes into a RawEmail (see _cut_message)."""
-    headers, index, body = _cut_message(data, source_path)
-    return RawEmail(tuple(headers), tuple(_part_types(index, body)), index)
+    headers, index, text, body = _cut_message(data, source_path)
+    return RawEmail(tuple(headers), tuple(_part_types(index, text, body)), index)
 
 
 def _decode_q(text):

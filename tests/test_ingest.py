@@ -66,8 +66,11 @@ def test_folded_header_lines_take_linear_time():
 @example("a: b\r\n\nc\n")
 @example("a: b\n \r\n\t\n\r\r\n")
 def test_split_head_matches_the_earlier_cut(text):
-    pairs, index, body = _split_head(text)
-    assert (pairs, body) == oracle_split_head(text)
+    # the span sits between blank lines that a cut past its ends would find
+    pad = "a: pad\r\n\r\n"
+    padded = pad + text + pad
+    pairs, index, body = _split_head(padded, len(pad), len(pad) + len(text))
+    assert (pairs, body and padded[slice(*body)]) == oracle_split_head(text)
     by_name = {}
     for name, value in pairs:
         by_name.setdefault(name.lower(), []).append(value)
@@ -398,10 +401,10 @@ def test_non_ascii_boundary(nested):
     assert parse_eml(mime.encode()).body_parts == ("text/html",)
 
 
-def _nested(levels):
+def _nested(levels, body="<p>\r\n"):
     """A message of one-part multiparts nested `levels` deep around one
     text/html leaf."""
-    mime = "Content-Type: text/html\r\n\r\n<p>\r\n"
+    mime = "Content-Type: text/html\r\n\r\n" + body
     for i in range(levels):
         mime = f"Content-Type: multipart/mixed; boundary=b{i}\r\n\r\n--b{i}\r\n{mime}--b{i}--\r\n"
     return mime.encode()
@@ -418,6 +421,22 @@ def _nested(levels):
 )
 def test_multipart_levels_past_the_cap_are_one_leaf(levels, parts):
     assert parse_eml(_nested(levels)).body_parts == parts
+
+
+@pytest.mark.parametrize("levels", [1, _MAX_NESTING])
+def test_nested_message_parse_holds_the_decoded_text_once(levels):
+    # Copying each level's body ("\n" + body, each segment, the body after
+    # the head) put the peak at 3x the message at depth 1 and 129x at depth
+    # 64; spans of the one decoded text hold about 1.05x at every depth.
+    data = _nested(levels, "<p>\r\n" + ("x" * 78 + "\r\n") * 13000)  # about 1 MB
+    tracemalloc.start()
+    try:
+        raw = parse_eml(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raw.body_parts == ("text/html",)
+    assert peak <= 2 * len(data), peak / len(data)
 
 
 def test_scan_keeps_a_deeply_nested_message(tmp_path):
@@ -452,7 +471,12 @@ def _delimited_bodies(draw):
 @given(_delimited_bodies())
 def test_split_segments_matches_regex_oracle(case):
     body, boundary = case
-    assert _split_segments(body, boundary) == oracle_split_segments(body, boundary)
+    # the body span follows a "\n", between delimiter lines that a search
+    # past its ends would find
+    pad = "\n--" + boundary + "\n"
+    text = pad + body + pad
+    spans = _split_segments(text, (len(pad), len(pad) + len(body)), boundary)
+    assert [text[start:end] for start, end in spans] == oracle_split_segments(body, boundary)
 
 
 # Body, preamble and epilogue lines: no ":" and no "-", so none reads as a
