@@ -27,8 +27,8 @@ from .core import MISSING, DirectoryUnreadable, MalformedInput
 _SEPARATOR = re.compile(r"\n\r?\n")
 # A name holds a surrogate only where it escapes a byte that is not UTF-8.
 _SURROGATE = re.compile("[\ud800-\udfff]")
-_BOUNDARY_QUOTED = re.compile(r'boundary\s*=\s*"([^"]*)"', re.IGNORECASE)
-_BOUNDARY_BARE = re.compile(r"boundary\s*=\s*([^;\s]+)", re.IGNORECASE)
+# The boundary parameter, by its name after a ";", and its quoted or bare value.
+_BOUNDARY = re.compile(r';\s*boundary\s*=\s*(?:"([^"]*)"|([^;\s]+))', re.IGNORECASE)
 # The rest of a delimiter line after "--" + boundary: "--" if it closes,
 # spaces and tabs, at most one CR, and the line's end (RFC 2046 §5.1.1).
 _DELIMITER_END = re.compile(r"(--)?[ \t]*\r?(\n|\Z)")
@@ -143,8 +143,8 @@ def _main_type(ct_value):
 
 
 def _boundary(ct_value):
-    m = _BOUNDARY_QUOTED.search(ct_value) or _BOUNDARY_BARE.search(ct_value)
-    return m.group(1) if m else None
+    m = _BOUNDARY.search(ct_value)
+    return m and (m.group(1) or m.group(2))  # "" or None: no boundary
 
 
 def _split_segments(text, body, boundary):

@@ -401,6 +401,21 @@ def test_non_ascii_boundary(nested):
     assert parse_eml(mime.encode()).body_parts == ("text/html",)
 
 
+# The boundary parameter is read by its name after a ";": not from a
+# parameter whose name ends in "boundary", nor from a quoted value.
+@pytest.mark.parametrize(
+    "params",
+    ["xboundary=zz; boundary=real", 'name="boundary=zz"; boundary=real', 'boundary="real"', "BOUNDARY = real"],
+)
+def test_boundary_parameter_is_read_by_its_name(params):
+    mime = (
+        f"Content-Type: multipart/mixed; {params}\r\n\r\n"
+        "--zz\r\nContent-Type: text/plain\r\n\r\nzz\r\n--zz--\r\n"
+        "--real\r\nContent-Type: text/html\r\n\r\n<p>\r\n--real--\r\n"
+    )
+    assert parse_eml(mime.encode()).body_parts == ("text/html",)
+
+
 def _nested(levels, body="<p>\r\n"):
     """A message of one-part multiparts nested `levels` deep around one
     text/html leaf."""
