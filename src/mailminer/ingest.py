@@ -29,8 +29,7 @@ _SEPARATOR = re.compile(r"\n\r?\n")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 # The boundary parameter, by its name after a ";", and its quoted or bare value.
 _BOUNDARY = re.compile(r';\s*boundary\s*=\s*(?:"([^"]*)"|([^;\s]+))', re.IGNORECASE)
-# The rest of a delimiter line after "--" + boundary: "--" if it closes,
-# spaces and tabs, at most one CR, and the line's end (RFC 2046 §5.1.1).
+# A delimiter line's rest after "--" + boundary (RFC 2046 §5.1.1).
 _DELIMITER_END = re.compile(r"(--)?[ \t]*\r?(\n|\Z)")
 _ENCODED_WORD = re.compile(r"=\?([^?]+)\?([bBqQ])\?([^? ]*)\?=")
 _BAD_Q_ESCAPE = re.compile(r"=(?![0-9A-Fa-f]{2})")
@@ -216,11 +215,10 @@ def _decode_head(data):
 
 
 def _cut_message(data, source_path):
-    """The header pairs and index of message bytes decoded by _decode_head,
-    the decoded text and the span of its body, cut by _split_head as each
-    MIME part is (a UTF-8 sequence holds no CR or LF, so the cut falls
-    where it falls in the bytes). MalformedInput if there is neither a
-    blank line nor a header line."""
+    """Header pairs, index, text and body span of message bytes decoded by
+    _decode_head, cut by _split_head as each MIME part is (a UTF-8 sequence
+    holds no CR or LF, so the cut falls where it falls in the bytes).
+    MalformedInput if there is neither a blank line nor a header line."""
     text = _decode_head(data)
     headers, index, body = _split_head(text, 0, len(text))
     if not headers and body is None:

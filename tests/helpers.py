@@ -1,9 +1,9 @@
-"""Test-side helpers that need no pytest: the fixture corpora and a CLI
-subprocess runner, and the oracles: an ARFF reader, a per-character CSV
-tokenizer and the read_csv error it implies, a regex MIME part splitter,
-a header/body cut by the earlier separator pattern, a per-pair distance
-loop, a per-row SSE loop, a naive SSE recomputation, a naive silhouette,
-and a random dataset generator."""
+"""Test-side helpers that need no pytest: the fixture corpora, a CLI
+subprocess runner and a nested MIME message, and the oracles: an ARFF
+reader, a per-character CSV tokenizer and the read_csv error it implies,
+a regex MIME part splitter, a header/body cut by the earlier separator
+pattern, a per-pair distance loop, a per-row SSE loop, a naive SSE
+recomputation, a naive silhouette, and a random dataset generator."""
 
 import math
 import operator
@@ -26,7 +26,7 @@ FIXTURE_CORPUS = ROOT / "fixtures" / "corpus"
 FIXTURE_DUP_CORPUS = ROOT / "fixtures" / "dup_corpus"
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, cwd=None):
     """`python -m mailminer ARGS` on this checkout's source, captured."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
@@ -35,8 +35,18 @@ def run_cli(*args, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "mailminer", *[str(a) for a in args]],
         capture_output=True,
+        cwd=cwd,
         env=env,
     )
+
+
+def nested_mime(levels, body="<p>\r\n"):
+    """A message of one-part multiparts nested `levels` deep around one
+    text/html leaf holding body."""
+    mime = "Content-Type: text/html\r\n\r\n" + body
+    for i in range(levels):
+        mime = f"Content-Type: multipart/mixed; boundary=b{i}\r\n\r\n--b{i}\r\n{mime}--b{i}--\r\n"
+    return mime.encode()
 
 
 # ---------------------------------------------------------------------------

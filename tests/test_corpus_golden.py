@@ -28,14 +28,12 @@ Regenerate the golden (only when an output change is intended) with
 import hashlib
 import importlib.util
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
+from helpers import ROOT, nested_mime, run_cli
+
 GOLDEN = ROOT / "tests" / "golden" / "corpus_gate.json"
 SPEC_MESSAGES = 400
 SEED = 11
@@ -59,12 +57,6 @@ def _load_generator():
     return module
 
 
-def _nested(levels, leaf="Content-Type: text/html\r\n\r\n<p>\r\n"):
-    for i in range(levels):
-        leaf = f"Content-Type: multipart/mixed; boundary=b{i}\r\n\r\n--b{i}\r\n{leaf}--b{i}--\r\n"
-    return leaf.encode()
-
-
 def _html_under(content_type):
     return (
         f"From: b@x.test\r\nSubject: boundary\r\nContent-Type: {content_type}\r\n\r\n"
@@ -74,9 +66,9 @@ def _html_under(content_type):
 
 
 HOSTILE = {
-    "nested_1.eml": b"From: n1@x.test\r\nSubject: one\r\n" + _nested(1),
-    "nested_64.eml": b"From: n64@x.test\r\nSubject: sixty-four\r\n" + _nested(64),
-    "nested_65.eml": b"From: n65@x.test\r\nSubject: sixty-five\r\n" + _nested(65),
+    "nested_1.eml": b"From: n1@x.test\r\nSubject: one\r\n" + nested_mime(1),
+    "nested_64.eml": b"From: n64@x.test\r\nSubject: sixty-four\r\n" + nested_mime(64),
+    "nested_65.eml": b"From: n65@x.test\r\nSubject: sixty-five\r\n" + nested_mime(65),
     "folded.eml": (
         b"From: Folded\r\n Name <f@x.test>\r\nSubject: a subject\r\n\tfolded\r\n  twice\r\n"
         b'Content-Type: multipart/alternative;\r\n\tboundary="f"\r\n\r\n'
@@ -121,19 +113,12 @@ def _sha(data):
 def _runs():
     """{"digest": the manifest digest, "runs": {"set/command": {"exit",
     "stdout", "stderr"}}} for this checkout."""
-    env = dict(os.environ, **ENV)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         digest = _write_sets(tmp)
         for directory in SETS:
             for name, argv in COMMANDS:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "mailminer", *[a.format(dir=directory) for a in argv]],
-                    capture_output=True,
-                    cwd=tmp,
-                    env=env,
-                )
+                proc = run_cli(*[a.format(dir=directory) for a in argv], env_extra=ENV, cwd=tmp)
                 runs[f"{directory}/{name}"] = {
                     "exit": proc.returncode,
                     "stdout": _sha(proc.stdout),

@@ -27,7 +27,14 @@ from mailminer.ingest import (
     read_sender,
 )
 
-from helpers import FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, oracle_split_head, oracle_split_segments, run_cli
+from helpers import (
+    FIXTURE_CORPUS,
+    FIXTURE_DUP_CORPUS,
+    nested_mime,
+    oracle_split_head,
+    oracle_split_segments,
+    run_cli,
+)
 
 
 def _record(raw_bytes):
@@ -416,15 +423,6 @@ def test_boundary_parameter_is_read_by_its_name(params):
     assert parse_eml(mime.encode()).body_parts == ("text/html",)
 
 
-def _nested(levels, body="<p>\r\n"):
-    """A message of one-part multiparts nested `levels` deep around one
-    text/html leaf."""
-    mime = "Content-Type: text/html\r\n\r\n" + body
-    for i in range(levels):
-        mime = f"Content-Type: multipart/mixed; boundary=b{i}\r\n\r\n--b{i}\r\n{mime}--b{i}--\r\n"
-    return mime.encode()
-
-
 @pytest.mark.parametrize(
     "levels, parts",
     [
@@ -435,7 +433,7 @@ def _nested(levels, body="<p>\r\n"):
     ],
 )
 def test_multipart_levels_past_the_cap_are_one_leaf(levels, parts):
-    assert parse_eml(_nested(levels)).body_parts == parts
+    assert parse_eml(nested_mime(levels)).body_parts == parts
 
 
 @pytest.mark.parametrize("levels", [1, _MAX_NESTING])
@@ -443,7 +441,7 @@ def test_nested_message_parse_holds_the_decoded_text_once(levels):
     # Copying each level's body ("\n" + body, each segment, the body after
     # the head) put the peak at 3x the message at depth 1 and 129x at depth
     # 64; spans of the one decoded text hold about 1.05x at every depth.
-    data = _nested(levels, "<p>\r\n" + ("x" * 78 + "\r\n") * 13000)  # about 1 MB
+    data = nested_mime(levels, "<p>\r\n" + ("x" * 78 + "\r\n") * 13000)  # about 1 MB
     tracemalloc.start()
     try:
         raw = parse_eml(data)
@@ -455,7 +453,7 @@ def test_nested_message_parse_holds_the_decoded_text_once(levels):
 
 
 def test_scan_keeps_a_deeply_nested_message(tmp_path):
-    (tmp_path / "deep.eml").write_bytes(b"From: a@x.test\r\n" + _nested(1200))
+    (tmp_path / "deep.eml").write_bytes(b"From: a@x.test\r\n" + nested_mime(1200))
     result = scan_corpus(tmp_path)
     assert [r.from_addr for r in result.records] == ["a@x.test"]
     assert result.skipped == []
