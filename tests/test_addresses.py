@@ -29,7 +29,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from mailminer import MISSING, extract_record, parse_eml
-from mailminer.ingest import _cc_addrs, _clean_addr, _BARE_LIST
+from mailminer.ingest import _cc_addrs, _clean_addr, _from_addr, _BARE_LIST
 
 STRICT = getattr(email.utils, "supports_strict_parsing", False)
 
@@ -40,7 +40,7 @@ FROM_CASES = [
     ("a@x (comment)", "a@x"),
     ("(c) a@x", "a@x"),
     ("undisclosed-recipients:;", MISSING),
-    ("Group: a@x, b@y;", "a@x", MISSING),
+    ("Group: a@x, b@y;", "a@x"),
     ("=?utf-8?q?J=C3=B6rg?= <JO@X.org>", "jo@x.org"),
     # the value is parsed as it stands, so an encoded comma ("Doe, J")
     # stays inside its display name
@@ -52,7 +52,7 @@ FROM_CASES = [
     ("A@X.Com", "a@x.com"),
     ("<a@x>", "a@x"),
     ('"a@b" <c@d>', "c@d"),
-    ("a@x,b@y", "a@x", MISSING),
+    ("a@x,b@y", "a@x"),
     ("a@x\t(tab)", "a@x"),
     ("a@b@c", MISSING),
     (".a@b", ".a@b"),
@@ -129,11 +129,19 @@ def _mismatches():
     ]
 
 
+def oracle_addresses(value):
+    """The stdlib parser's reading of a whole raw From or Cc value: each
+    address cleaned as extract_record cleans it (MISSING if it is no
+    addr-spec), in order."""
+    return [_clean_addr(addr) for _, addr in email.utils.getaddresses([value])]
+
+
 def oracle_cc(value):
-    """The stdlib parser's reading of a whole raw Cc value, cleaned as
-    extract_record cleans it."""
-    addrs = email.utils.getaddresses([value])
-    return tuple(cleaned for _, addr in addrs if (cleaned := _clean_addr(addr)))
+    return tuple(addr for addr in oracle_addresses(value) if addr is not MISSING)
+
+
+def oracle_from(value):
+    return next(iter(oracle_addresses(value)), MISSING)
 
 
 # Fragments of Cc values: the bare-address alphabets, and the characters
@@ -166,12 +174,14 @@ FUZZ_SEED = 8
 FUZZ_CASES = 20000
 
 
-def fuzz_cc(seed=FUZZ_SEED, cases=FUZZ_CASES):
-    """(values tried, values on the fast path, values where _cc_addrs and
-    the oracle differ)."""
+def fuzz(seed=FUZZ_SEED, cases=FUZZ_CASES):
+    """(values tried, values on the fast path, and each (field, value)
+    where the reading differs from the oracle's: the Cc addresses, or a
+    From that is not the oracle's first address)."""
     rng = random.Random(seed)
     values = [_fuzz_value(rng) for _ in range(cases)]
-    bad = [v for v in values if _cc_addrs(v) != oracle_cc(v)]
+    bad = [("Cc", v) for v in values if _cc_addrs(v) != oracle_cc(v)]
+    bad += [("From", v) for v in values if _from_addr(v) != oracle_from(v)]
     return len(values), sum(1 for v in values if _BARE_LIST.fullmatch(v)), bad
 
 
@@ -185,11 +195,12 @@ def _main(argv):
     for name, value, got, want in bad:
         print(f"{name}: {value!r} gave {got!r}, expected {want!r}")
     print(f"address pins on Python {version} ({parser} parser): " + (f"{len(bad)} MISMATCHES" if bad else "ok"))
-    tried, bare, fuzz_bad = fuzz_cc()
-    for value in fuzz_bad[:10]:
-        print(f"Cc {value!r}: fast path {_cc_addrs(value)!r}, parser {oracle_cc(value)!r}")
+    tried, bare, fuzz_bad = fuzz()
+    for name, value in fuzz_bad[:10]:
+        got, want = (_cc_addrs(value), oracle_cc(value)) if name == "Cc" else (_from_addr(value), oracle_from(value))
+        print(f"{name} {value!r}: read {got!r}, parser {want!r}")
     print(
-        f"Cc oracle fuzz (seed {FUZZ_SEED}): {tried} values, {bare} bare lists, "
+        f"From and Cc oracle fuzz (seed {FUZZ_SEED}): {tried} values, {bare} bare lists, "
         + (f"{len(fuzz_bad)} MISMATCHES" if fuzz_bad else "0 mismatches")
     )
     return 1 if bad or fuzz_bad else 0
@@ -231,7 +242,17 @@ def test_cc_addrs_matches_parser(value):
     assert _cc_addrs(value) == oracle_cc(value)
 
 
+@given(_CC_VALUES)
+def test_from_addr_is_the_first_address(value):
+    assert _from_addr(value) == oracle_from(value)
+
+
 def test_cc_fuzz_matches_parser():
-    tried, bare, bad = fuzz_cc(cases=4000)
+    tried, bare, bad = fuzz(cases=4000)
     assert bare > tried // 10  # the fast path is exercised
-    assert bad == []
+    assert [v for name, v in bad if name == "Cc"] == []
+
+
+def test_from_fuzz_reads_the_first_address():
+    _, _, bad = fuzz(cases=4000)
+    assert [v for name, v in bad if name == "From"] == []

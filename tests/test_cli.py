@@ -141,6 +141,25 @@ def test_cluster_flag_misuse(emails_csv):
     assert run_cli("cluster", emails_csv, "--k", "2", "--auto-k").returncode == 1
 
 
+# Each check runs before the read: the input does not exist, so a check
+# made after the read would exit 3.
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["cluster", "--auto-k", "--kmax", "1"], "--kmax must be >= 2"),
+        (["cluster", "--k", "2", "--max-iter", "0"], "--max-iter must be >= 1"),
+        (["top-senders", "-n", "0"], "-n must be >= 1"),
+        (["filter", "--discretize", "Date"], "--discretize needs the form name:bins"),
+        (["filter", "--discretize", "Date:x"], "bad bin count 'x'"),
+        (["filter", "--discretize", ":3"], "--discretize needs the form name:bins"),
+    ],
+)
+def test_usage_check_comes_before_the_read(tmp_path, capsys, argv, message):
+    command, *flags = argv
+    assert cli.main([command, str(tmp_path / "missing"), *flags]) == 1
+    assert capsys.readouterr() == ("", f"mailminer: error: {message}\n")
+
+
 def test_cluster_too_few_rows_is_data_error(emails_csv):
     assert run_cli("cluster", emails_csv, "--k", "99").returncode == 2
 

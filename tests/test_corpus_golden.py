@@ -10,8 +10,8 @@ output. Beside it the gate writes two small sets of its own:
   latin-1 body, encoded-words, bare-CR line endings and a file that is
   not a message;
 - boundary: a boundary parameter read by its name, next to a parameter
-  whose name ends in "boundary" and a quoted value that holds
-  "boundary=".
+  whose name ends in "boundary" and quoted values that hold "boundary="
+  and "; boundary=".
 
 Each `convert` (csv, arff, `--attrs`) and `top-senders` runs as a
 `python -m mailminer` child in the directory that holds the three sets,
@@ -90,6 +90,7 @@ HOSTILE = {
 BOUNDARY = {
     "name_ends_in_boundary.eml": _html_under("multipart/mixed; xboundary=zz; boundary=real"),
     "quoted_value_holds_boundary.eml": _html_under('multipart/mixed; name="boundary=zz"; boundary=real'),
+    "quoted_value_holds_a_parameter.eml": _html_under('multipart/mixed; name="a; boundary=zz"; boundary=real'),
     "by_name.eml": _html_under('multipart/mixed; boundary="real"'),
 }
 

@@ -1,7 +1,9 @@
 """Golden gate: CLI output on both fixture corpora, byte for byte.
 
 Each case runs `cli.main(argv)` in-process and compares stdout, stderr
-and the exit code with the files under tests/golden/<corpus>/. Cluster,
+and the exit code with the files under tests/golden/<corpus>/; the
+`--help` of `mailminer` and of each subcommand is pinned the same way
+under tests/golden/help/. Cluster,
 dupes and filter cases read the CSV that `convert` writes for the same
 corpus. Each run sees the same GOLDEN_ENV: MAILMINER_LOG decides the
 diagnostic lines. The parser wraps usage lines at a fixed width, not at
@@ -63,6 +65,16 @@ ERROR_CASES = [
 
 PARAMS = [(corpus, name, argv) for corpus in CORPORA for name, argv in CASES + ERROR_CASES]
 
+# (case name, argv before "--help")
+HELP_CASES = [
+    ("mailminer", []),
+    ("convert", ["convert"]),
+    ("cluster", ["cluster"]),
+    ("dupes", ["dupes"]),
+    ("top_senders", ["top-senders"]),
+    ("filter", ["filter"]),
+]
+
 
 def _argv(argv, corpus, csv_path):
     return [a.format(dir=CORPORA[corpus], csv=csv_path) for a in argv]
@@ -81,6 +93,8 @@ def _subprocess_runs():
             assert run_cli("convert", directory, "--out", csv_path).returncode == 0
             for name, argv in CASES + ERROR_CASES:
                 runs[f"{corpus}/{name}"] = run_cli(*_argv(argv, corpus, csv_path), env_extra=GOLDEN_ENV)
+    for name, argv in HELP_CASES:
+        runs[f"help/{name}"] = run_cli(*argv, "--help", env_extra=GOLDEN_ENV)
     return runs
 
 
@@ -140,6 +154,20 @@ def test_golden(corpus, name, argv, csv_paths, capsysbinary, monkeypatch):
     assert code == _exit_codes()[f"{corpus}/{name}"]
     assert out == (GOLDEN / corpus / f"{name}.stdout").read_bytes()
     assert err == (GOLDEN / corpus / f"{name}.stderr").read_bytes()
+
+
+@pytest.mark.parametrize("name,argv", HELP_CASES, ids=[c[0] for c in HELP_CASES])
+def test_help_golden(name, argv, capsysbinary, monkeypatch):
+    from mailminer import cli
+
+    for key, value in GOLDEN_ENV.items():
+        monkeypatch.setenv(key, value)
+    capsysbinary.readouterr()
+    code = cli.main([*argv, "--help"])
+    out, err = capsysbinary.readouterr()
+    assert code == _exit_codes()[f"help/{name}"]
+    assert out == (GOLDEN / "help" / f"{name}.stdout").read_bytes()
+    assert err == (GOLDEN / "help" / f"{name}.stderr").read_bytes()
 
 
 @pytest.mark.parametrize("columns", ["80", "40"])

@@ -4,8 +4,8 @@ For both fixture corpora (converted to CSV and read back with the CLI's
 kind hints) and for three seeded random mixed-type datasets of about 250
 rows, tests/golden/kernel.json holds, for k = 2..4 under one seed, the
 iteration count, the cluster sizes, a digest of the assignment, and the
-`repr` of `sse`, `first_pass_sse` and `silhouette_mean`, plus the k that
-`select_k` picks. The test recomputes them and asserts exact equality.
+`repr` of `sse`, `one_pass_sse` (the SSE of the same fit capped at one
+iteration) and `silhouette_mean`, plus the k that `select_k` picks. The test recomputes them and asserts exact equality.
 
 The same check runs as a script, without pytest, so any interpreter with
 the package's (stdlib-only) imports can run it:
@@ -75,7 +75,7 @@ def _kernel_results(ds):
             "sizes": model.sizes,
             "assignment_sha256": _digest(model.assignment),
             "sse": repr(model.sse),
-            "first_pass_sse": repr(model.first_pass_sse),
+            "one_pass_sse": repr(kmeans(ds, KMeansConfig(k=k, max_iterations=1, seed=SEED)).sse),
             "silhouette_mean": repr(silhouette_mean(ds, model)),
         }
     chosen, _ = select_k(ds, KMeansConfig(k_max=max(K_RANGE), seed=SEED))
