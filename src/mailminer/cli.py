@@ -52,8 +52,8 @@ LOG_LEVELS = ("quiet", "info", "debug")
 # Help and usage lines are wrapped at one fixed width (what COLUMNS=200
 # gives), not at the terminal's, so the same argv prints the same bytes
 # everywhere: at narrow widths 3.13 wraps a usage line unlike 3.10-3.12.
-# Subparsers do not inherit a formatter, so each gets it too.
-_FORMATTER = functools.partial(argparse.HelpFormatter, width=198)
+# Subparsers are made by the parser_class given to add_subparsers.
+_Parser = functools.partial(argparse.ArgumentParser, formatter_class=functools.partial(argparse.HelpFormatter, width=198))
 
 
 def _log_level():
@@ -186,17 +186,17 @@ def cmd_filter(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="mailminer", description=__doc__, formatter_class=_FORMATTER)
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = _Parser(prog="mailminer", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("convert", help="scan an .eml corpus into CSV or ARFF", formatter_class=_FORMATTER)
+    p = sub.add_parser("convert", help="scan an .eml corpus into CSV or ARFF")
     p.add_argument("dir")
     p.add_argument("--attrs", default=",".join(CANONICAL_ATTRIBUTES))
     p.add_argument("--format", choices=("csv", "arff"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("cluster", help="k-means over a converted CSV", formatter_class=_FORMATTER)
+    p = sub.add_parser("cluster", help="k-means over a converted CSV")
     p.add_argument("csv")
     p.add_argument("--k", type=int)
     p.add_argument("--auto-k", action="store_true", dest="auto_k")
@@ -207,19 +207,19 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("dupes", help="duplicate-instance profile of a CSV", formatter_class=_FORMATTER)
+    p = sub.add_parser("dupes", help="duplicate-instance profile of a CSV")
     p.add_argument("csv")
     p.add_argument("--attrs", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_dupes)
 
-    p = sub.add_parser("top-senders", help="rank sender addresses by mail count", formatter_class=_FORMATTER)
+    p = sub.add_parser("top-senders", help="rank sender addresses by mail count")
     p.add_argument("dir")
     p.add_argument("-n", type=int, default=10)
     p.add_argument("--out")
     p.set_defaults(func=cmd_top_senders)
 
-    p = sub.add_parser("filter", help="apply one preprocessing filter to a CSV", formatter_class=_FORMATTER)
+    p = sub.add_parser("filter", help="apply one preprocessing filter to a CSV")
     p.add_argument("csv")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--remove", metavar="NAMES")

@@ -45,9 +45,6 @@ class ClusterModel:
     sse: float
     sizes: list
     chosen_k: int
-    # SSE of the first assignment pass against the initial centers;
-    # kept so the no-worsening property is checkable from outside.
-    first_pass_sse: float
 
 
 def attribute_ranges(ds):
@@ -186,12 +183,9 @@ def kmeans(ds, cfg, initial_centroids=None):
 
     assignment = None
     iterations = 0
-    first_pass_sse = 0.0
     while iterations < cfg.max_iterations:
         iterations += 1
         new_assignment, dists = _nearest(kernel, centroids, rows)
-        if iterations == 1:
-            first_pass_sse = _left_sum([d ** 2 for d in dists])
         if new_assignment == assignment:
             # the centroids have not moved since this pass
             total_sse = _left_sum([d ** 2 for d in dists])
@@ -211,7 +205,7 @@ def kmeans(ds, cfg, initial_centroids=None):
         total_sse = _sse(kernel, rows, centroids, assignment)
 
     sizes = [assignment.count(ci) for ci in range(k)]
-    return ClusterModel(centroids, assignment, iterations, total_sse, sizes, k, first_pass_sse)
+    return ClusterModel(centroids, assignment, iterations, total_sse, sizes, k)
 
 
 def sse(ds, model):

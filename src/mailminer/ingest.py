@@ -37,8 +37,8 @@ _BAD_Q_ESCAPE = re.compile(r"=(?![0-9A-Fa-f]{2})")
 # type. Every level reads spans of the one decoded text and costs a stack
 # frame, so hostile nesting never reaches the recursion limit.
 _MAX_NESTING = 64
-# A Cc value that is only bare addr-specs, comma-separated, each piece
-# non-empty and at most padded with spaces and tabs.
+# A From or Cc value that is only bare addr-specs, comma-separated, each
+# piece non-empty and at most padded with spaces and tabs.
 _BARE_ADDR = r"[ \t]*[A-Za-z0-9._+-]+@[A-Za-z0-9.-]+[ \t]*"
 _BARE_LIST = re.compile(f"{_BARE_ADDR}(?:,{_BARE_ADDR})*")
 # Distinct From values parsed per process; senders repeat.
@@ -288,20 +288,12 @@ def _clean_addr(addr):
 # a display-name word (RFC 2047 §5), and the display name is not kept, so
 # nothing needs decoding. Decoding first would let an encoded comma or
 # angle bracket split the value.
-# The parsers read a comment recursively: past about 500 levels of "(" a
-# value is no address, on every Python (the strict parsers already read
+# The parser reads a comment recursively: past about 500 levels of "(" a
+# value is no address, on every Python (the strict parser already reads
 # unbalanced nesting so; every parser raises RecursionError on balanced).
-@functools.lru_cache(maxsize=_ADDR_CACHE_SIZE)
-def _from_addr(value):
-    """The cleaned addr-spec of a From value, or MISSING."""
-    try:
-        return _clean_addr(email.utils.parseaddr(value)[1])
-    except RecursionError:
-        return MISSING
-
-
-def _cc_addrs(value):
-    """The cleaned addr-specs of a Cc value.
+def _addresses(value):
+    """The cleaned addr-spec, or MISSING, of each address of a From or Cc
+    value in order: both list addresses (RFC 5322 §3.6.2-3, RFC 6854).
 
     A value that is only bare addr-specs (see _BARE_LIST) reads as its
     pieces, stripped and lowercased, which is what the parser makes of
@@ -309,12 +301,17 @@ def _cc_addrs(value):
     of one piece can depend on the others (strict parsing, gh-102988).
     """
     if _BARE_LIST.fullmatch(value):
-        return tuple([piece.strip() for piece in value.lower().split(",")])
+        return [piece.strip() for piece in value.lower().split(",")]
     try:
-        addrs = email.utils.getaddresses([value])
+        return [_clean_addr(addr) for _, addr in email.utils.getaddresses([value])]
     except RecursionError:
-        return ()
-    return tuple(cleaned for _, addr in addrs if (cleaned := _clean_addr(addr)))
+        return []
+
+
+@functools.lru_cache(maxsize=_ADDR_CACHE_SIZE)
+def _from_addr(value):
+    """The first address of a From value (see _addresses), or MISSING."""
+    return next(iter(_addresses(value)), MISSING)
 
 
 def extract_record(raw):
@@ -327,10 +324,9 @@ def extract_record(raw):
     if date_header:
         try:
             dt = email.utils.parsedate_to_datetime(date_header)
-            if dt is not None:
-                if dt.tzinfo is None:
-                    dt = dt.replace(tzinfo=timezone.utc)
-                date = int(dt.timestamp())
+            if dt.tzinfo is None:
+                dt = dt.replace(tzinfo=timezone.utc)
+            date = int(dt.timestamp())
         except (ValueError, TypeError, OverflowError):
             pass
 
@@ -343,9 +339,7 @@ def extract_record(raw):
 
     from_addr = _from_addr(raw.get("From") or "")
 
-    cc = []
-    for value in raw.get_all("Cc"):
-        cc.extend(_cc_addrs(value))
+    cc = [addr for value in raw.get_all("Cc") for addr in _addresses(value) if addr is not MISSING]
 
     subject = MISSING
     subject_header = raw.get("Subject")

@@ -7,6 +7,7 @@ fresh copy.
 """
 
 import contextlib
+import io
 import math
 import os
 import re
@@ -242,10 +243,6 @@ _CSV_FIELD = re.compile(
 )
 
 
-# A line of text: what runs up to and through its LF, or an unended last line.
-_LINE = re.compile(".*\n|.+")
-
-
 def _csv_records(lines):
     """RFC 4180 records, one at a time, from the lines of CSV text (each
     with its LF, but maybe the last): (the line the record starts on, its
@@ -350,12 +347,12 @@ def read_csv(source, kind_hints=None, relation_name="data"):
 def _source_lines(source):
     """The lines of a CSV source, each with its LF, less a leading
     byte-order mark (not part of the first header name): a path's are read
-    and decoded one at a time, a stream is read whole."""
+    and decoded one at a time, a stream is read whole. newline="\n" ends a
+    line at LF only, so a bare CR stays inside its line."""
     if not isinstance(source, (str, os.PathLike)):
-        yield map(re.Match.group, _LINE.finditer(source.read().removeprefix("\ufeff")))
+        yield io.StringIO(source.read().removeprefix("\ufeff"), newline="\n")
         return
-    # utf-8-sig drops the mark; newline="\n" keeps a bare CR inside its line
-    with open(source, encoding="utf-8-sig", newline="\n") as f:
+    with open(source, encoding="utf-8-sig", newline="\n") as f:  # utf-8-sig drops the mark
         yield f
 
 

@@ -1,5 +1,5 @@
 """Pinned From and CC addresses of hostile header values, and an oracle
-for the Cc fast path.
+for the address reader.
 
 Each case is one header value and the `from_addr` or `cc` that
 `extract_record` makes of it. CPython's address parser reads malformed
@@ -8,10 +8,12 @@ releases that took the fix): a list with one bad piece, or a trailing
 comma, then yields no address at all. Where the two readings differ, a
 case holds both results.
 
-`_cc_addrs` reads a Cc value made only of bare addr-specs without the
-parser. The oracle is the parser's reading of the whole value; a
-`hypothesis` property and a seeded fuzz both compare the two, on values
-biased to bare-list shapes (dots, "@@", empty pieces, blanks, "<>").
+`_addresses` reads a From or Cc value made only of bare addr-specs
+without the parser; From is its first address and Cc the ones present.
+The oracle is the parser's reading of the whole value; a `hypothesis`
+property and a seeded fuzz both compare the two, and From with the
+oracle's first address, on values biased to bare-list shapes (dots,
+"@@", empty pieces, blanks, "<>").
 
 The pins and the seeded fuzz also run as a script, without pytest, so
 any interpreter with the package's (stdlib-only) imports can run them:
@@ -29,7 +31,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from mailminer import MISSING, extract_record, parse_eml
-from mailminer.ingest import _cc_addrs, _clean_addr, _from_addr, _BARE_LIST
+from mailminer.ingest import _BARE_LIST, _addresses, _clean_addr, _from_addr
 
 STRICT = getattr(email.utils, "supports_strict_parsing", False)
 
@@ -136,15 +138,11 @@ def oracle_addresses(value):
     return [_clean_addr(addr) for _, addr in email.utils.getaddresses([value])]
 
 
-def oracle_cc(value):
-    return tuple(addr for addr in oracle_addresses(value) if addr is not MISSING)
-
-
 def oracle_from(value):
     return next(iter(oracle_addresses(value)), MISSING)
 
 
-# Fragments of Cc values: the bare-address alphabets, and the characters
+# Fragments of From and Cc values: the bare-address alphabets, and the characters
 # and shapes where the parser's reading differs from a plain split.
 _LOCAL = ["a", "Z", "7", ".", "x.y", "_", "+", "-"]
 _DOMAIN = ["a", "Z", "7", ".", "-"]
@@ -175,13 +173,12 @@ FUZZ_CASES = 20000
 
 
 def fuzz(seed=FUZZ_SEED, cases=FUZZ_CASES):
-    """(values tried, values on the fast path, and each (field, value)
-    where the reading differs from the oracle's: the Cc addresses, or a
-    From that is not the oracle's first address)."""
+    """(values tried, values on the fast path, and each (reading, value)
+    where _addresses or _from_addr differs from the oracle)."""
     rng = random.Random(seed)
     values = [_fuzz_value(rng) for _ in range(cases)]
-    bad = [("Cc", v) for v in values if _cc_addrs(v) != oracle_cc(v)]
-    bad += [("From", v) for v in values if _from_addr(v) != oracle_from(v)]
+    bad = [("_addresses", v) for v in values if _addresses(v) != oracle_addresses(v)]
+    bad += [("_from_addr", v) for v in values if _from_addr(v) != oracle_from(v)]
     return len(values), sum(1 for v in values if _BARE_LIST.fullmatch(v)), bad
 
 
@@ -197,8 +194,8 @@ def _main(argv):
     print(f"address pins on Python {version} ({parser} parser): " + (f"{len(bad)} MISMATCHES" if bad else "ok"))
     tried, bare, fuzz_bad = fuzz()
     for name, value in fuzz_bad[:10]:
-        got, want = (_cc_addrs(value), oracle_cc(value)) if name == "Cc" else (_from_addr(value), oracle_from(value))
-        print(f"{name} {value!r}: read {got!r}, parser {want!r}")
+        got, want = (_addresses(value), oracle_addresses(value)) if name == "_addresses" else (_from_addr(value), oracle_from(value))
+        print(f"{name}({value!r}) is {got!r}, parser {want!r}")
     print(
         f"From and Cc oracle fuzz (seed {FUZZ_SEED}): {tried} values, {bare} bare lists, "
         + (f"{len(fuzz_bad)} MISMATCHES" if fuzz_bad else "0 mismatches")
@@ -239,7 +236,7 @@ _CC_VALUES = st.lists(_PIECES, min_size=1, max_size=5).map(",".join) | st.text()
 
 @given(_CC_VALUES)
 def test_cc_addrs_matches_parser(value):
-    assert _cc_addrs(value) == oracle_cc(value)
+    assert _addresses(value) == oracle_addresses(value)
 
 
 @given(_CC_VALUES)
@@ -250,9 +247,9 @@ def test_from_addr_is_the_first_address(value):
 def test_cc_fuzz_matches_parser():
     tried, bare, bad = fuzz(cases=4000)
     assert bare > tried // 10  # the fast path is exercised
-    assert [v for name, v in bad if name == "Cc"] == []
+    assert [v for name, v in bad if name == "_addresses"] == []
 
 
 def test_from_fuzz_reads_the_first_address():
     _, _, bad = fuzz(cases=4000)
-    assert [v for name, v in bad if name == "From"] == []
+    assert [v for name, v in bad if name == "_from_addr"] == []
