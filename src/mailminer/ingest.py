@@ -27,8 +27,8 @@ from .core import MISSING, DirectoryUnreadable, MalformedInput
 _SEPARATOR = re.compile(r"\n\r?\n")
 # A name holds a surrogate only where it escapes a byte that is not UTF-8.
 _SURROGATE = re.compile("[\ud800-\udfff]")
-# The boundary parameter, by its name after a ";", and its quoted or bare value.
-_BOUNDARY = re.compile(r';\s*boundary\s*=\s*(?:"([^"]*)"|([^;\s]+))', re.IGNORECASE)
+# One parameter after its ";": its name, and its quoted or bare value.
+_PARAM = re.compile(r';\s*([^\s;=]+)\s*=\s*(?:"([^"]*)"|([^;\s]+))')
 # A delimiter line's rest after "--" + boundary (RFC 2046 §5.1.1).
 _DELIMITER_END = re.compile(r"(--)?[ \t]*\r?(\n|\Z)")
 _ENCODED_WORD = re.compile(r"=\?([^?]+)\?([bBqQ])\?([^? ]*)\?=")
@@ -142,8 +142,9 @@ def _main_type(ct_value):
 
 
 def _boundary(ct_value):
-    m = _BOUNDARY.search(ct_value)
-    return m and (m.group(1) or m.group(2))  # "" or None: no boundary
+    for m in _PARAM.finditer(ct_value):  # from the start: a quoted value is passed over whole
+        if m[1].lower() == "boundary":
+            return m[2] or m[3]  # "" or None, as after the loop: no boundary
 
 
 def _split_segments(text, body, boundary):

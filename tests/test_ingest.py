@@ -412,7 +412,16 @@ def test_non_ascii_boundary(nested):
 # parameter whose name ends in "boundary", nor from a quoted value.
 @pytest.mark.parametrize(
     "params",
-    ["xboundary=zz; boundary=real", 'name="boundary=zz"; boundary=real', 'boundary="real"', "BOUNDARY = real"],
+    [
+        "xboundary=zz; boundary=real",
+        'name="boundary=zz"; boundary=real',
+        'boundary="real"',
+        "BOUNDARY = real",
+        # a quoted value is passed over whole, ";" included
+        'name="a; boundary=zz"; boundary=real',
+        # the first parameter of the name counts
+        "boundary=real; boundary=zz",
+    ],
 )
 def test_boundary_parameter_is_read_by_its_name(params):
     mime = (
