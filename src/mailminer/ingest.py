@@ -363,8 +363,8 @@ def _eml_files(root):
     regular file or a link to one. A link is tested with Path.is_file,
     which reads a looping link as no file where DirEntry.is_file raises.
     Linked directories are not descended; a subdirectory that cannot be
-    opened (PermissionError) is passed over. Entries are taken from the
-    scandir iterator one at a time, so only the paths kept grow.
+    opened (PermissionError) is passed over, the root not. Entries come
+    from the scandir iterator one at a time, so only the paths kept grow.
     """
     found = []
     pending = [(os.fspath(root), "")]
@@ -373,7 +373,9 @@ def _eml_files(root):
         try:
             it = os.scandir(path)
         except PermissionError:
-            continue
+            if prefix:  # "" is the root
+                continue
+            raise
         with it:
             for entry in it:
                 name = entry.name

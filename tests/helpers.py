@@ -1,9 +1,10 @@
 """Test-side helpers that need no pytest: the fixture corpora, a CLI
-subprocess runner and a nested MIME message, and the oracles: an ARFF
-reader, a per-character CSV tokenizer and the read_csv error it implies,
-a regex MIME part splitter, a header/body cut by the earlier separator
-pattern, a per-pair distance loop, a per-row SSE loop, a naive SSE
-recomputation, a naive silhouette, and a random dataset generator."""
+subprocess runner, a nested MIME message, a scandir that refuses one
+directory, and the oracles: an ARFF reader, a per-character CSV
+tokenizer and the read_csv error it implies, a regex MIME part splitter,
+a header/body cut by the earlier separator pattern, a per-pair distance
+loop, a per-row SSE loop, a naive SSE recomputation, a naive silhouette,
+and a random dataset generator."""
 
 import math
 import operator
@@ -38,6 +39,19 @@ def run_cli(*args, env_extra=None, cwd=None):
         cwd=cwd,
         env=env,
     )
+
+
+def refuse_scandir(monkeypatch, refused):
+    """Make os.scandir raise PermissionError for one directory, as chmod 000
+    does for any user but root (tests may run as root)."""
+    scandir = os.scandir
+
+    def guarded(path):
+        if os.fspath(path) == os.fspath(refused):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", guarded)
 
 
 def nested_mime(levels, body="<p>\r\n"):

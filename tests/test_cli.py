@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from helpers import FIXTURE_CORPUS, ROOT, SRC, read_arff, run_cli
+from helpers import FIXTURE_CORPUS, ROOT, SRC, read_arff, refuse_scandir, run_cli
 from mailminer import cli, render_report, scan_corpus, tabular, top_senders
 from mailminer.ingest import iter_corpus
 
@@ -85,6 +85,13 @@ def test_convert_unreadable_directory_exits_3(tmp_path):
         assert proc.returncode == 3
         assert proc.stdout == b""
         assert proc.stderr.decode() == f"mailminer: not a readable directory: {tmp_path / 'missing'}\n"
+
+
+@pytest.mark.parametrize("command", ["convert", "top-senders"])
+def test_unreadable_corpus_root_exits_3(tmp_path, monkeypatch, capsys, command):
+    refuse_scandir(monkeypatch, tmp_path)
+    assert cli.main([command, str(tmp_path)]) == 3
+    assert capsys.readouterr() == ("", f"mailminer: cannot scan {tmp_path}: [Errno 13] Permission denied: '{tmp_path}'\n")
 
 
 def test_convert_to_an_out_that_cannot_be_written_fails_before_the_scan(tmp_path):

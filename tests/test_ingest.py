@@ -33,6 +33,7 @@ from helpers import (
     nested_mime,
     oracle_split_head,
     oracle_split_segments,
+    refuse_scandir,
     run_cli,
 )
 
@@ -289,6 +290,23 @@ def test_iter_corpus_checks_the_directory_at_the_call(tmp_path):
     for directory in (tmp_path / "nope", FIXTURE_CORPUS / "01_win_big_1.eml"):
         with pytest.raises(DirectoryUnreadable):
             iter_corpus(directory, [])
+
+
+def test_unreadable_root_is_no_empty_corpus(tmp_path, monkeypatch):
+    _mail(tmp_path / "a.eml", "a")
+    refuse_scandir(monkeypatch, tmp_path)
+    with pytest.raises(DirectoryUnreadable, match=f"^cannot scan {tmp_path}: .*Permission denied"):
+        iter_corpus(tmp_path, [])
+
+
+def test_unreadable_subdirectory_is_passed_over(tmp_path, monkeypatch):
+    _mail(tmp_path / "a.eml", "a")
+    (tmp_path / "sub").mkdir()
+    _mail(tmp_path / "sub" / "b.eml", "b")
+    refuse_scandir(monkeypatch, tmp_path / "sub")
+    skipped = []
+    assert [r.from_addr for r in iter_corpus(tmp_path, skipped)] == ["a@x.test"]
+    assert skipped == []
 
 
 def test_enumeration_holds_only_the_paths_it_keeps(tmp_path):
