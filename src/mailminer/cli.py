@@ -52,7 +52,7 @@ LOG_LEVELS = ("quiet", "info", "debug")
 # Help and usage lines are wrapped at one fixed width (what COLUMNS=200
 # gives), not at the terminal's, so the same argv prints the same bytes
 # everywhere: at narrow widths 3.13 wraps a usage line unlike 3.10-3.12.
-# Subparsers are made by the parser_class given to add_subparsers.
+# Subparsers do not inherit a formatter, so add_subparsers makes them as _Parser.
 _Parser = functools.partial(argparse.ArgumentParser, formatter_class=functools.partial(argparse.HelpFormatter, width=198))
 
 

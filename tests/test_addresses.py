@@ -55,6 +55,9 @@ FROM_CASES = [
     ("<a@x>", "a@x"),
     ('"a@b" <c@d>', "c@d"),
     ("a@x,b@y", "a@x"),
+    # the strict parser refuses a list with a trailing comma whole, in
+    # From as in Cc
+    ("a@x,", "a@x", MISSING),
     ("a@x\t(tab)", "a@x"),
     ("a@b@c", MISSING),
     (".a@b", ".a@b"),
