@@ -3,12 +3,12 @@
 Each case runs `cli.main(argv)` in-process and compares stdout, stderr
 and the exit code with the files under tests/golden/<corpus>/; the
 `--help` of `mailminer` and of each subcommand is pinned the same way
-under tests/golden/help/. Cluster,
-dupes and filter cases read the CSV that `convert` writes for the same
-corpus. Each run sees the same GOLDEN_ENV: MAILMINER_LOG decides the
-diagnostic lines. The parser wraps usage lines at a fixed width, not at
-COLUMNS, so a usage error prints the same bytes at any terminal width and
-on every Python (3.13 wraps a narrow usage line unlike 3.10-3.12).
+under tests/golden/help/. Cluster, dupes and filter cases read the CSV
+that `convert` writes for the same corpus. Each run sees the same
+GOLDEN_ENV: MAILMINER_LOG decides the diagnostic lines. The parser wraps
+usage lines at a fixed width, not at COLUMNS, so a usage error prints the
+same bytes at any terminal width and on every Python (3.13 wraps a
+narrow usage line unlike 3.10-3.12).
 
 The same cases also run as a script, each as a `python -m mailminer`
 subprocess, without pytest, so any interpreter can check them:
