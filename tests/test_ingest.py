@@ -339,6 +339,23 @@ def test_iter_corpus_reads_a_file_only_when_it_is_reached(tmp_path):
     assert next(records, None) is None
 
 
+@pytest.mark.parametrize("replace, error", [
+    (os.remove, "[Errno 2] No such file or directory"),
+    (lambda path: (os.remove(path), os.mkdir(path)), "[Errno 21] Is a directory"),
+])
+def test_a_file_gone_after_the_enumeration_is_a_read_error(tmp_path, replace, error):
+    (tmp_path / "sub").mkdir()
+    _mail(tmp_path / "a.eml", "a")
+    _mail(tmp_path / "sub" / "b.eml", "b")
+    skipped = []
+    records = iter_corpus(tmp_path, skipped)  # enumerates now, reads nothing yet
+    replace(tmp_path / "sub" / "b.eml")
+    assert [r.from_addr for r in records] == ["a@x.test"]
+    assert [(s.path, s.reason) for s in skipped] == [
+        ("sub/b.eml", f"read error: {error}: '{tmp_path}/sub/b.eml'")
+    ]
+
+
 @pytest.mark.parametrize("corpus", [FIXTURE_CORPUS, FIXTURE_DUP_CORPUS, "mixed"])
 def test_scan_corpus_is_the_iterator_it_wraps(tmp_path, corpus):
     if corpus == "mixed":
