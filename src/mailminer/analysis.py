@@ -2,8 +2,7 @@
 rounded percentages, top-sender rankings, and text/CSV/SVG rendering."""
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .core import MISSING, UnsupportedFormat
 from .tabular import DuplicateProfile, _open_sink, format_csv_row
@@ -17,25 +16,18 @@ def _escape(text):
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-@dataclass(frozen=True)
-class ClusterSummary:
-    sizes: tuple
-    percentages: tuple  # integer percent per cluster
-    iterations: int
-    chosen_k: int
+class ClusterSummary(namedtuple("ClusterSummary", "sizes percentages iterations chosen_k")):
+    """Cluster sizes, their integer percents of the rows, the fit's iterations and k."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SenderEntry:
-    address: str
-    count: int
-    share: float
+class SenderEntry(namedtuple("SenderEntry", "address count share")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SenderReport:
-    entries: tuple
-    total: int
+class SenderReport(namedtuple("SenderReport", "entries total")):
+    __slots__ = ()
 
 
 def _round_half_away(x):
@@ -65,9 +57,7 @@ def rank_senders(addresses, n):
     counts = Counter(addr if addr is not MISSING else UNKNOWN_SENDER for addr in addresses)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     total = sum(counts.values())
-    entries = tuple(
-        SenderEntry(addr, count, count / total) for addr, count in ranked[:n]
-    )
+    entries = tuple(SenderEntry(addr, count, count / total) for addr, count in ranked[:n])
     return SenderReport(entries, total)
 
 

@@ -21,7 +21,7 @@ rows after it: O(n^2) distances, O(n*sum(k)) memory.
 
 import math
 import operator
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -29,12 +29,8 @@ from .core import MISSING, ArityMismatch, EmptyDataset, TooFewRows
 from .rng import Lcg
 
 
-@dataclass(frozen=True)
-class KMeansConfig:
-    k: int = 2
-    k_max: int = 2
-    max_iterations: int = 100
-    seed: int = 0
+class KMeansConfig(namedtuple("KMeansConfig", "k k_max max_iterations seed", defaults=(2, 2, 100, 0))):
+    __slots__ = ()
 
 
 @dataclass

@@ -16,8 +16,8 @@ import functools
 import os
 import re
 import sys
-from dataclasses import dataclass, field
-from datetime import timezone
+from collections import namedtuple
+from datetime import datetime, timedelta
 from pathlib import Path
 
 from .core import MISSING, DirectoryUnreadable, MalformedInput
@@ -43,6 +43,9 @@ _BARE_ADDR = r"[ \t]*[A-Za-z0-9._+-]+@[A-Za-z0-9.-]+[ \t]*"
 _BARE_LIST = re.compile(f"{_BARE_ADDR}(?:,{_BARE_ADDR})*")
 # Distinct From values parsed per process; senders repeat.
 _ADDR_CACHE_SIZE = 4096
+_EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
+_READ_SIZE = 1 << 16  # bytes per os.read; most messages take one
 
 # Only the B and Q encodings over these charsets are decoded; any other
 # encoded-word is kept verbatim.
@@ -56,44 +59,43 @@ _CHARSETS = {
 }
 
 
-@dataclass(frozen=True)
-class RawEmail:
-    """One message split into unfolded headers and MIME body part types."""
+class RawEmail(namedtuple("RawEmail", "headers body_parts index")):
+    """One message: headers, its ((name, value), ...) unfolded in order;
+    body_parts, the content types of its leaf MIME parts; and index (see
+    _parse_header_block), which equality, hash and repr pass over."""
 
-    headers: tuple  # ((name, value), ...) in order of appearance
-    body_parts: tuple  # (content_type, ...) of the leaf MIME parts
-    index: dict = field(compare=False, repr=False)  # see _parse_header_block
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self[:2] == other[:2] if isinstance(other, RawEmail) else NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's, which compares index
+
+    def __hash__(self):
+        return hash(self[:2])
+
+    def __repr__(self):
+        return f"RawEmail(headers={self.headers!r}, body_parts={self.body_parts!r})"
 
     def get(self, name):
         """First header value with the given name, case-insensitive."""
         return _first(self.index, name.lower())
 
-    def get_all(self, name):
-        return list(self.index.get(name.lower(), ()))
+
+class EmailRecord(namedtuple("EmailRecord", "date message_id cc from_addr subject has_html")):
+    """A message reduced to the six canonical attributes: date (UTC
+    seconds), message_id, from_addr (a lowercase addr-spec) and subject
+    (decoded), each MISSING if absent; cc, lowercase addr-specs; has_html."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EmailRecord:
-    """A message reduced to the six canonical attributes."""
-
-    date: object  # UTC seconds (int) or MISSING
-    message_id: object  # str or MISSING
-    cc: tuple  # lowercase addr-specs, possibly empty
-    from_addr: object  # lowercase addr-spec or MISSING
-    subject: object  # decoded str or MISSING
-    has_html: bool
+class SkipEntry(namedtuple("SkipEntry", "path reason")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SkipEntry:
-    path: str
-    reason: str
-
-
-@dataclass
-class ScanResult:
-    records: list
-    skipped: list
+class ScanResult(namedtuple("ScanResult", "records skipped")):
+    __slots__ = ()
 
 
 def _parse_header_block(text):
@@ -315,35 +317,41 @@ def _from_addr(value):
     return next(iter(_addresses(value)), MISSING)
 
 
+def _timestamp(value):
+    """UTC epoch seconds of a Date value (or None), or MISSING. No zone, or
+    -0000, reads as UTC. MISSING for no date, no calendar day or time of
+    day (30 Feb, 24:00, second 60, year 10000), or an offset of a day or
+    more, which datetime's timezone refuses."""
+    t = email.utils.parsedate_tz(value)
+    if t is None or not -86400 < t[9] < 86400:
+        return MISSING
+    try:
+        return (datetime(*t[:6]) - _EPOCH) // _SECOND - t[9]
+    except (ValueError, OverflowError):
+        return MISSING
+
+
 def extract_record(raw):
     """Reduce a RawEmail to the six canonical attributes.
 
     Every malformed field degrades to MISSING; this never raises.
     """
-    date = MISSING
-    date_header = raw.get("Date")
-    if date_header:
-        try:
-            dt = email.utils.parsedate_to_datetime(date_header)
-            if dt.tzinfo is None:
-                dt = dt.replace(tzinfo=timezone.utc)
-            date = int(dt.timestamp())
-        except (ValueError, TypeError, OverflowError):
-            pass
+    index = raw.index
+    date = _timestamp(_first(index, "date"))
 
     message_id = MISSING
-    mid = raw.get("Message-ID")
+    mid = _first(index, "message-id")
     if mid:
         mid = mid.strip().strip("<>").strip()
         if mid:
             message_id = mid
 
-    from_addr = _from_addr(raw.get("From") or "")
+    from_addr = _from_addr(_first(index, "from") or "")
 
-    cc = [addr for value in raw.get_all("Cc") for addr in _addresses(value) if addr is not MISSING]
+    cc = [addr for value in index.get("cc", ()) for addr in _addresses(value) if addr is not MISSING]
 
     subject = MISSING
-    subject_header = raw.get("Subject")
+    subject_header = _first(index, "subject")
     if subject_header:
         decoded = decode_encoded_words(subject_header).strip()
         if decoded:
@@ -428,15 +436,27 @@ def iter_corpus(directory, skipped, read=read_record):
     return _read_each(str(root), files, skipped, read)
 
 
+def _read_file(path):
+    """A file's bytes, by os.read to an empty read; an OSError names the path."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))  # no newline translation
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def _read_each(root, files, skipped, read):
     # root / rel as a plain string, as pathlib shows it ("." / rel is rel)
     prefix = "" if root == "." else os.path.join(root, "")
     for rel in files:
         path = prefix + rel
         try:
-            with open(path, "rb", buffering=0) as f:
-                data = f.readall()
-            value = read(data, path)
+            value = read(_read_file(path), path)
         except MalformedInput as exc:
             skipped.append(SkipEntry(rel, str(exc)))
         except OSError as exc:

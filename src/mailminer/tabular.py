@@ -13,7 +13,7 @@ import os
 import re
 import stat
 import tempfile
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -30,23 +30,20 @@ from .rng import Lcg
 KINDS = ("numeric", "nominal", "text", "date")
 
 
-@dataclass(frozen=True)
-class AttributeSpec:
-    name: str
-    kind: str
-    nominal_domain: tuple = ()
+class AttributeSpec(namedtuple("AttributeSpec", "name kind nominal_domain")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown attribute kind: {self.kind}")
-        if self.kind == "nominal":
-            if not self.nominal_domain:
+    def __new__(cls, name, kind, nominal_domain=()):
+        if kind not in KINDS:
+            raise ValueError(f"unknown attribute kind: {kind}")
+        if kind == "nominal":
+            if not nominal_domain:
                 raise ValueError("nominal attribute needs a non-empty domain")
-            if len(set(self.nominal_domain)) != len(self.nominal_domain):
+            if len(set(nominal_domain)) != len(nominal_domain):
                 raise ValueError("nominal domain contains duplicates")
-        elif self.nominal_domain:
+        elif nominal_domain:
             raise ValueError("only nominal attributes carry a domain")
-        object.__setattr__(self, "nominal_domain", tuple(self.nominal_domain))
+        return super().__new__(cls, name, kind, tuple(nominal_domain))
 
     @property
     def is_number(self):
@@ -95,11 +92,8 @@ class Dataset:
         return [names.index(name) for name in _checked_selection(selected, names)]
 
 
-@dataclass(frozen=True)
-class DuplicateProfile:
-    projection: tuple
-    n_different: int
-    n_identical: int
+class DuplicateProfile(namedtuple("DuplicateProfile", "projection n_different n_identical")):
+    __slots__ = ()
 
 
 # Each canonical attribute's cell of an EmailRecord.

@@ -2,10 +2,12 @@
 subprocess runner, a nested MIME message, a scandir that refuses one
 directory, and the oracles: an ARFF reader, a per-character CSV
 tokenizer and the read_csv error it implies, a regex MIME part splitter,
-a header/body cut by the earlier separator pattern, a per-pair distance
-loop, a per-row SSE loop, a naive SSE recomputation, a naive silhouette,
-and a random dataset generator."""
+a header/body cut by the earlier separator pattern, the earlier
+datetime-based Date reading, a per-pair distance loop, a per-row SSE
+loop, a naive SSE recomputation, a naive silhouette, and a random
+dataset generator."""
 
+import email.utils
 import math
 import operator
 import os
@@ -13,6 +15,7 @@ import random
 import re
 import subprocess
 import sys
+from datetime import timezone
 from functools import reduce
 from pathlib import Path
 
@@ -282,6 +285,21 @@ def oracle_split_head(text):
             name, _, value = line.partition(":")
             headers.append((name.strip(), value.strip()))
     return headers, body
+
+
+def oracle_timestamp(value):
+    """UTC epoch seconds of a Date value by the earlier path:
+    parsedate_to_datetime, a naive result read as UTC, then
+    int(timestamp()); MISSING where that raises ValueError, TypeError or
+    OverflowError. The reference for the Date of
+    mailminer.ingest.extract_record."""
+    try:
+        dt = email.utils.parsedate_to_datetime(value)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return int(dt.timestamp())
+    except (ValueError, TypeError, OverflowError):
+        return MISSING
 
 
 # ---------------------------------------------------------------------------

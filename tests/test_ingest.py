@@ -33,6 +33,7 @@ from helpers import (
     nested_mime,
     oracle_split_head,
     oracle_split_segments,
+    oracle_timestamp,
     refuse_scandir,
     run_cli,
 )
@@ -248,6 +249,72 @@ def test_two_digit_year_date():
 def test_unparseable_date_is_missing():
     rec = _record(b"Date: not a date\r\n\r\n.")
     assert rec.date is MISSING
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("Mon, 3 Jul 2023 10:00:00 +0000", 1688378400),
+    ("Mon, 3 Jul 2023 10:00:00 -0000", 1688378400),  # no known zone: UTC
+    ("Mon, 3 Jul 2023 10:00:00", 1688378400),
+    ("Mon, 3 Jul 2023 10:00:00 +2359", 1688292060),
+    ("Mon, 3 Jul 2023 10:00:00 -2359", 1688464740),
+    ("Mon, 3 Jul 2023 10:00:00 +2400", MISSING),  # a zone is less than a day off UTC
+    ("Mon, 3 Jul 2023 10:00:00 -2400", MISSING),
+    ("Thu, 30 Feb 2023 10:00:00 +0000", MISSING),
+    ("3 Jul 2023 24:00:00 +0000", MISSING),
+    ("3 Jul 2023 23:59:60 +0000", MISSING),
+    ("3 Jul 95 10:00:00 +0000", 804765600),
+    ("3 Jul 05 10:00:00 +0000", 1120384800),
+    ("3 Jul 0 10:00:00 +0000", 962618400),  # year 0 is a two-digit year: 2000
+    ("3 Jul 0000 10:00:00 +0000", 962618400),
+    ("3 Jul 100 10:00:00 +0100", -58995615600),
+    ("31 Dec 9999 23:59:59 -2359", 253402387139),
+    ("1 Jan 10000 00:00:00 +0000", MISSING),
+    ("3 Jul 99999999999999999999 10:00 +0000", MISSING),
+])
+def test_date_edges(value, expected):
+    assert _record(f"Date: {value}\r\n\r\n.".encode()).date == expected == oracle_timestamp(value)
+
+
+def _numbers(low, high):
+    return st.integers(low, high).map(str) | st.integers(low, high).map("{:02d}".format)
+
+
+_ZONES = st.sampled_from([
+    "+0000", "-0000", "+2400", "-2400", "+2359", "-2359", "+0130", "-0930", "+9999", "+01:00",
+    "GMT", "UT", "UTC", "EST", "EDT", "PDT", "Z", "A", "+", "-", "",
+])
+_TIMES = st.tuples(_numbers(0, 25), _numbers(0, 61), st.none() | _numbers(0, 61)).map(
+    lambda hms: ":".join(part for part in hms if part is not None)
+) | st.sampled_from(["24:00:00", "23:59:60", "00:00", "12.30.45", "1:2:3", "10:"])
+_DATE_TOKENS = (
+    st.sampled_from(["Mon,", "thu,", "Sun", ",", "Jan", "feb", "Jul", "Dec", "July", "Foo", "AM", "PM"])
+    | _numbers(0, 32)
+    | _numbers(0, 12000)
+    | st.sampled_from(["0", "00", "0000", "69", "70", "99", "100", "9999", "10000", "-1"])
+    | _TIMES
+    | _ZONES
+)
+
+
+@st.composite
+def _date_values(draw):
+    """A Date value: either day month year time zone, each drawn from its
+    own tokens, or any tokens in any order."""
+    if draw(st.booleans()):
+        return " ".join(draw(st.lists(_DATE_TOKENS, max_size=7)))
+    day, year, time = draw(_numbers(0, 32)), draw(_DATE_TOKENS), draw(_TIMES)
+    month = draw(st.sampled_from(["Jan", "feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec", "Foo"]))
+    weekday = draw(st.sampled_from(["", "Mon, ", "Sat,", "Tue "]))
+    return f"{weekday}{day} {month} {year} {time} {draw(_ZONES)}".rstrip()
+
+
+@given(_date_values())
+@example("Mon, 3 Jul 2023 10:00:00 +2400")
+@example("31 Dec 9999 23:59:59 -0001")
+@example("1 Jan 100 00:00:00 +2359")
+def test_date_is_the_datetime_paths(value):
+    raw = parse_eml(f"Date: {value}\r\n\r\n.".encode())
+    assert extract_record(raw).date == oracle_timestamp(raw.get("Date"))
 
 
 def test_cc_flattened_and_invalid_entries_dropped():

@@ -1,8 +1,11 @@
 """The record classes' contract: construction by position and keyword,
 defaults, equality, hashing, immutability and repr, whatever builds them."""
 
+import dataclasses
+
 import pytest
 
+import mailminer
 from mailminer.analysis import ClusterSummary, SenderEntry, SenderReport
 from mailminer.cluster import KMeansConfig
 from mailminer.ingest import EmailRecord, RawEmail, ScanResult, SkipEntry
@@ -62,8 +65,7 @@ def test_equal_records_hash_alike(cls, fields, values, text):
         assert len({cls(*values), cls(*values)}) == 1
 
 
-@pytest.mark.parametrize("cls, fields, values, text", [c for c in CASES if c[0] is not ScanResult],
-                         ids=[name for name in IDS if name != "ScanResult"])
+@pytest.mark.parametrize("cls, fields, values, text", CASES, ids=IDS)
 def test_fields_cannot_be_assigned(cls, fields, values, text):
     record = cls(*values)
     for name in fields:
@@ -87,7 +89,7 @@ def test_raw_email_index_is_neither_compared_nor_hashed_nor_shown():
     assert raw != RawEmail(headers, ("text/html",), {"from": ["a@x"]})
     assert repr(raw) == "RawEmail(headers=(('From', 'a@x'),), body_parts=('text/plain',))"
     assert raw.index == {"from": ["a@x"]}
-    assert (raw.get("FROM"), raw.get("Cc"), raw.get_all("from")) == ("a@x", None, ["a@x"])
+    assert (raw.get("FROM"), raw.get("Cc")) == ("a@x", None)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -108,3 +110,10 @@ def test_attribute_spec_keeps_its_domain_as_a_tuple():
     spec = AttributeSpec("HTML", "nominal", ["yes", "no"])
     assert spec.nominal_domain == ("yes", "no") and spec == AttributeSpec("HTML", "nominal", ("yes", "no"))
     assert (spec.is_number, AttributeSpec("Date", "date").is_number) == (False, True)
+
+
+def test_only_the_bench_replaced_classes_are_dataclasses():
+    # bench/traced.py calls dataclasses.replace on Dataset and ClusterModel;
+    # they leave dataclasses with ROADMAP item 2's run record, not before
+    exported = [name for name in mailminer.__all__ if dataclasses.is_dataclass(getattr(mailminer, name))]
+    assert sorted(exported) == ["ClusterModel", "Dataset"]
