@@ -303,7 +303,7 @@ def _date_values(draw):
     if draw(st.booleans()):
         return " ".join(draw(st.lists(_DATE_TOKENS, max_size=7)))
     day, year, time = draw(_numbers(0, 32)), draw(_DATE_TOKENS), draw(_TIMES)
-    month = draw(st.sampled_from(["Jan", "feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec", "Foo"]))
+    month = draw(st.sampled_from("Jan feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec Foo".split()))
     weekday = draw(st.sampled_from(["", "Mon, ", "Sat,", "Tue "]))
     return f"{weekday}{day} {month} {year} {time} {draw(_ZONES)}".rstrip()
 
