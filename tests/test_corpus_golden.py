@@ -15,8 +15,12 @@ output. Beside it the gate writes two small sets of its own:
 
 Each `convert` (csv, arff, `--attrs`) and `top-senders` runs as a
 `python -m mailminer` child in the directory that holds the three sets,
-so the paths on stderr are the same in every run. The golden holds the
-sha256 of each child's stdout and stderr, and its exit code.
+so the paths on stderr are the same in every run. Then `convert --out`
+writes the generated corpus's CSV once, and every command that reads a
+CSV runs on it with its own `--out` file: `cluster --k 3` and
+`cluster --auto-k --kmax 5` (each as text, csv and svg), `dupes` and the
+four `filter` modes. The golden holds the sha256 of each child's stdout
+and stderr, its exit code and the sha256 of its `--out` file.
 
     python tests/test_corpus_golden.py --check
 
@@ -44,6 +48,20 @@ COMMANDS = [
     ("convert_arff", ["convert", "{dir}", "--format", "arff"]),
     ("convert_attrs", ["convert", "{dir}", "--attrs", "From,Subject,HTML"]),
     ("top_senders", ["top-senders", "{dir}"]),
+]
+CSV = "corpus.csv"  # written by the first CSV_COMMANDS entry
+CSV_COMMANDS = [
+    ("convert_out", ["convert", "corpus"]),
+    *(
+        (f"cluster_{name}_{report}", ["cluster", CSV, *flags, "--report", report])
+        for name, flags in (("k3", ["--k", "3"]), ("auto_k", ["--auto-k", "--kmax", "5"]))
+        for report in ("text", "csv", "svg")
+    ),
+    ("dupes", ["dupes", CSV, "--attrs", "From,Subject,HTML"]),
+    ("filter_remove", ["filter", CSV, "--remove", "Subject,CC"]),
+    ("filter_sample", ["filter", CSV, "--sample", "0.5", "--seed", "3"]),
+    ("filter_shuffle", ["filter", CSV, "--shuffle", "--seed", "3"]),
+    ("filter_discretize", ["filter", CSV, "--discretize", "Date:4"]),
 ]
 
 
@@ -111,20 +129,28 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _run(argv, tmp, out=None):
+    """One child's exit code and digests; out, if given, is its --out file
+    (under tmp), which the run must leave there."""
+    proc = run_cli(*argv, *(["--out", out] if out else []), env_extra=ENV, cwd=tmp)
+    run = {"exit": proc.returncode, "stdout": _sha(proc.stdout), "stderr": _sha(proc.stderr)}
+    if out:
+        run["out"] = _sha((Path(tmp) / out).read_bytes())
+    return run
+
+
 def _runs():
     """{"digest": the manifest digest, "runs": {"set/command": {"exit",
-    "stdout", "stderr"}}} for this checkout."""
+    "stdout", "stderr"[, "out"]}}} for this checkout."""
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         digest = _write_sets(tmp)
         for directory in SETS:
             for name, argv in COMMANDS:
-                proc = run_cli(*[a.format(dir=directory) for a in argv], env_extra=ENV, cwd=tmp)
-                runs[f"{directory}/{name}"] = {
-                    "exit": proc.returncode,
-                    "stdout": _sha(proc.stdout),
-                    "stderr": _sha(proc.stderr),
-                }
+                runs[f"{directory}/{name}"] = _run([a.format(dir=directory) for a in argv], tmp)
+        (Path(tmp) / "out").mkdir()
+        for i, (name, argv) in enumerate(CSV_COMMANDS):
+            runs[f"csv/{name}"] = _run(argv, tmp, CSV if i == 0 else f"out/{name}")
     return {"digest": digest, "runs": runs}
 
 
