@@ -9,6 +9,7 @@ and debug prints what info prints.
 
 import argparse
 import functools
+import gc
 import itertools
 import os
 import sys
@@ -254,3 +255,11 @@ def main(argv=None):
     except (OSError, UnicodeEncodeError) as exc:  # the latter: stdout cannot encode the output
         print(f"mailminer: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+def run():
+    """The process entry point: main(), then gc.freeze(), so the shutdown
+    collections skip what exit frees anyway (main() alone freezes nothing)."""
+    code = main()
+    gc.freeze()
+    return code

@@ -1,8 +1,11 @@
 import contextlib
+import gc
+import importlib
 import importlib.util
 import io
 import logging
 import os
+import runpy
 import shutil
 import stat
 import subprocess
@@ -529,3 +532,45 @@ def test_scan_holds_one_message_at_a_time(tmp_path, monkeypatch, argv):
         assert codes == [0]
         beyond.append(run - enumeration)
     assert beyond[1] - beyond[0] <= 16 * 1024, beyond
+
+
+# The process entry point freezes the collector once the command is done;
+# main() itself must not, because tests and library callers run it in-process.
+def test_main_in_process_freezes_nothing(emails_csv, capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["filter", str(emails_csv), "--shuffle", "--seed", "1"]) == 0
+    assert cli.main(["convert", str(FIXTURE_CORPUS)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_after_main_and_returns_its_code(tmp_path):
+    code = (
+        "import gc, sys\nfrom mailminer import cli\nfrozen = []\nmain = cli.main\n"
+        "cli.main = lambda: (frozen.append(gc.get_freeze_count()), main())[1]\n"
+        "code = cli.run()\nprint(frozen[0], gc.get_freeze_count() > 0, code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv, want in ((["convert", str(FIXTURE_CORPUS)], "0"), (["cluster", str(tmp_path)], "1")):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env)
+        assert proc.stdout.decode().splitlines()[-1] == f"0 True {want}"
+
+
+def test_the_script_and_python_m_call_one_entry_point(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")  # 3.11+
+    target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["mailminer"]
+    module, _, name = target.partition(":")
+    called = []
+    monkeypatch.setattr(importlib.import_module(module), name, lambda: called.append(name) or 7)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("mailminer", run_name="__main__")
+    assert (called, exc.value.code) == ([name], 7)
+
+
+def test_convert_stdout_through_a_pipe_is_its_out_bytes(tmp_path):
+    # the final flush of a piped stdout still happens at exit
+    for fmt in ("csv", "arff"):
+        piped = run_cli("convert", FIXTURE_CORPUS, "--format", fmt)
+        out = tmp_path / f"x.{fmt}"
+        written = run_cli("convert", FIXTURE_CORPUS, "--format", fmt, "--out", out)
+        assert piped.returncode == written.returncode == 0
+        assert piped.stdout == out.read_bytes() and len(piped.stdout) > 100
