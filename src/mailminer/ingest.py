@@ -220,8 +220,12 @@ def _decode_head(data):
 def _cut_message(data, source_path):
     """Header pairs, index, text and body span of message bytes decoded by
     _decode_head, cut by _split_head as each MIME part is (a UTF-8 sequence
-    holds no CR or LF, so the cut falls where it falls in the bytes).
-    MalformedInput if there is neither a blank line nor a header line."""
+    holds no CR or LF, so the cut falls where it falls in the bytes). In
+    a file with no LF each CR ends a line (classic Mac); where a file has
+    LFs, a bare CR is part of its line. MalformedInput if there is neither
+    a blank line nor a header line."""
+    if b"\n" not in data:
+        data = data.replace(b"\r", b"\n")
     text = _decode_head(data)
     headers, index, body = _split_head(text, 0, len(text))
     if not headers and body is None:

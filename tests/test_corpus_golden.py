@@ -100,8 +100,7 @@ HOSTILE = {
         b"From: =?utf-8?q?J=C3=B6rg?= <jo@x.test>\r\n"
         b"Subject: =?utf-8?b?w7xiZXI=?= =?iso-8859-1?q?_caf=E9?= and =?x-bogus?q?kept?=\r\n\r\nbody\r\n"
     ),
-    # no From line: a From value that runs on over the bare CRs reads
-    # differently under the strict address parsers (gh-102988)
+    # no LF, so each CR ends a line: Subject "bare cr", HTML yes
     "bare_cr.eml": b"Subject: bare cr\rContent-Type: text/html\r\r<p>\r",
     "not_a_message.eml": b"no header line and no blank line",
 }
