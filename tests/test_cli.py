@@ -545,14 +545,14 @@ def test_main_in_process_freezes_nothing(emails_csv, capsys):
 
 def test_run_freezes_after_main_and_returns_its_code(tmp_path):
     code = (
-        "import gc, sys\nfrom mailminer import cli\nfrozen = []\nmain = cli.main\n"
+        "import gc\nfrom mailminer import cli\nstart = gc.get_freeze_count()\nfrozen = []\nmain = cli.main\n"
         "cli.main = lambda: (frozen.append(gc.get_freeze_count()), main())[1]\n"
-        "code = cli.run()\nprint(frozen[0], gc.get_freeze_count() > 0, code)\n"
-    )
+        "code = cli.run()\nprint(frozen == [start], gc.get_freeze_count() > start, code)\n"
+    )  # start is not 0 everywhere: 3.12 starts with objects frozen
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for argv, want in ((["convert", str(FIXTURE_CORPUS)], "0"), (["cluster", str(tmp_path)], "1")):
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env)
-        assert proc.stdout.decode().splitlines()[-1] == f"0 True {want}"
+        assert proc.stdout.decode().splitlines()[-1] == f"True True {want}"
 
 
 def test_the_script_and_python_m_call_one_entry_point(monkeypatch):
