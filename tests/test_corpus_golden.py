@@ -4,7 +4,7 @@ hostile set, as sha256 digests.
 bench/corpus.py generates CorpusSpec(400) with seed 11 (imported, never
 changed); tests/golden/corpus_gate.json pins its manifest digest, so a
 change to the generator reads as "the inputs moved", not as drift in the
-output. Beside it the gate writes two small sets of its own:
+output. Beside it the gate writes four small sets of its own:
 
 - hostile: MIME nested 1, 64 and 65 levels deep, folded headers, a
   latin-1 body, encoded-words, bare-CR line endings and a file that is
