@@ -5,10 +5,15 @@ kind hints) and for three seeded random mixed-type datasets of about 250
 rows, tests/golden/kernel.json holds, for k = 2..4 under one seed, the
 iteration count, the cluster sizes, a digest of the assignment, and the
 `repr` of `sse`, `one_pass_sse` (the SSE of the same fit capped at one
-iteration) and `silhouette_mean`, plus the k that `select_k` picks. The test recomputes them and asserts exact equality.
+iteration) and `silhouette_mean`, plus the k that `select_k` picks. It
+also holds the `repr` of each score `silhouette_means` gives the models
+for k = 2..min(10, rows) under that seed, scored in one call: the CLI's
+default `--kmax`. The test recomputes them and asserts exact equality.
 
 The same check runs as a script, without pytest, so any interpreter with
-the package's (stdlib-only) imports can run it:
+the package's (stdlib-only) imports can run it; a mismatch names the
+first differing key (dataset, k, field) with the expected and the actual
+value:
 
     python tests/test_kernel_golden.py --check
 
@@ -36,6 +41,7 @@ from mailminer import (
     scan_corpus,
     select_k,
     silhouette_mean,
+    silhouette_means,
     write_csv,
 )
 from mailminer.cli import CANONICAL_HINTS
@@ -45,6 +51,7 @@ from helpers import random_dataset
 GOLDEN = ROOT / "tests" / "golden" / "kernel.json"
 SEED = 42
 K_RANGE = range(2, 5)
+KMAX = 10  # the CLI's default --kmax
 RANDOM_SEEDS = (101, 202, 303)
 
 
@@ -79,7 +86,28 @@ def _kernel_results(ds):
             "silhouette_mean": repr(silhouette_mean(ds, model)),
         }
     chosen, _ = select_k(ds, KMeansConfig(k_max=max(K_RANGE), seed=SEED))
-    return {"rows": len(ds.rows), "k": per_k, "select_k": chosen}
+    ks = range(2, min(KMAX, len(ds.rows)) + 1)
+    scores = silhouette_means(ds, [kmeans(ds, KMeansConfig(k=k, seed=SEED)) for k in ks])
+    return {
+        "rows": len(ds.rows),
+        "k": per_k,
+        "select_k": chosen,
+        "silhouette_means": {str(k): repr(score) for k, score in zip(ks, scores)},
+    }
+
+
+def first_difference(expected, actual, path=()):
+    """(key path, expected, actual) at the first key, in the expected
+    value's order, where actual departs from it; None when they are equal."""
+    if not (isinstance(expected, dict) and isinstance(actual, dict)):
+        return None if expected == actual else (path, expected, actual)
+    for key in [*expected, *(key for key in actual if key not in expected)]:
+        if key not in expected or key not in actual:
+            return path + (key,), expected.get(key, "<absent>"), actual.get(key, "<absent>")
+        found = first_difference(expected[key], actual[key], path + (key,))
+        if found:
+            return found
+    return None
 
 
 DATASETS = dict(_datasets())
@@ -93,11 +121,15 @@ def _main(argv):
     if argv == ["--write"]:
         GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
         return 0
-    golden = json.loads(GOLDEN.read_text())
-    bad = [name for name in DATASETS if results[name] != golden[name]]
+    found = first_difference(json.loads(GOLDEN.read_text()), results)
     version = ".".join(map(str, sys.version_info[:3]))
-    print(f"kernel golden on Python {version}: " + (f"MISMATCH {bad}" if bad else "ok"))
-    return 1 if bad else 0
+    if found:
+        path, expected, actual = found
+        print(f"kernel golden on Python {version}: MISMATCH at {'/'.join(path)}: "
+              f"expected {expected!r}, got {actual!r}")
+        return 1
+    print(f"kernel golden on Python {version}: ok")
+    return 0
 
 
 if __name__ == "__main__":
