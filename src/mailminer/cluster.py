@@ -15,8 +15,11 @@ and one float term per column, left to right, before the sqrt. A missing
 cell adds 1.0, a label column 1.0 or 0.0, a zero range 0.0 (decided when
 the kernel is made), and any other range the quotient (x - c) / range
 computed once and squared, which is |x - c| / range squared to the bit.
-Assignment calls it once per centroid, the silhouette once per row on the
-rows after it: O(n^2) distances, O(n*sum(k)) memory.
+Assignment calls it once per centroid. The silhouette keeps each row's
+sums to every cluster of every model and takes the rows TILE at a time:
+a pass generated from the same term template computes each tile row's
+distance to each later row once and adds it to both rows' sums, in
+ascending row order: O(n^2) distances, O(n*sum(k)) memory.
 """
 
 import math
@@ -75,32 +78,62 @@ def row_kernel(ranges):
     the source. Each term is a float, so every addition is float + float;
     whether the left row's cell is missing is tested once per call. One
     kernel is kept per set of ranges; callers check arity."""
-    return _generate_kernel(*ranges)
+    return _generate(None, *ranges)
 
 
 # typed: an int range and an equal float range divide differently
 @lru_cache(maxsize=64, typed=True)
-def _generate_kernel(*ranges):
-    a = ", ".join(f"a{j}" for j in range(len(ranges)))
-    terms = "".join(" + " + _term(j, rng) for j, rng in enumerate(ranges))
-    hoisted = "".join(f"    m{j} = a{j} is M\n" for j in range(len(ranges)))
+def _generate(shape, *ranges):
+    """The row kernel (shape None), or the silhouette's tile pass for shape
+    (models, tile rows): tile_pass(tile, rest), where tile and rest are
+    lists of (row, sums, columns) and columns holds the row's sum column in
+    each model. For each rest row in order, each tile row's distance to it
+    is added to the rest row's sums at the tile row's columns and to the
+    tile row's sums at the rest row's columns, tile rows in order."""
+    b = ", ".join(f"b{j}" for j in range(len(ranges)))
     namespace = {f"R{j}": rng for j, rng in enumerate(ranges)}
     namespace.update(M=MISSING, sqrt=math.sqrt)
-    exec(f"""def kernel(row, rows):
-    [{a}] = row
-{hoisted}    return [sqrt(0.0{terms}) for [{a.replace("a", "b")}] in rows]
+
+    def left(t):  # the left row's cells and missing tests, names suffixed by t
+        cells = ", ".join(f"a{j}{t}" for j in range(len(ranges)))
+        return f"[{cells}]", "".join(f"    m{j}{t} = a{j}{t} is M\n" for j in range(len(ranges)))
+
+    def dist(t):
+        return "sqrt(0.0" + "".join(" + " + _term(j, rng, t) for j, rng in enumerate(ranges)) + ")"
+
+    if shape is None:
+        cells, hoisted = left("")
+        exec(f"""def kernel(row, rows):
+    {cells} = row
+{hoisted}    return [{dist("")} for [{b}] in rows]
 """, namespace)
-    return namespace["kernel"]
+        return namespace["kernel"]
+    models, tile = shape
+    entries, hoisted, body = [], "", ""
+    for t in map("_{}".format, range(tile)):
+        cells, missing = left(t)
+        columns = ", ".join(f"c{t}_{m}" for m in range(models))
+        entries.append(f"[{cells}, s{t}, [{columns}]]")
+        hoisted += missing
+        body += f"        d = {dist(t)}\n"
+        body += "".join(f"        s{t}[l{m}] += d\n        s[c{t}_{m}] += d\n" for m in range(models))
+    exec(f"""def tile_pass(tile, rest):
+    [{", ".join(entries)}] = tile
+{hoisted}    for [{b}], s, [{", ".join(f"l{m}" for m in range(models))}] in rest:
+{body}""", namespace)
+    return namespace["tile_pass"]
 
 
-def _term(j, rng):
-    """Column j's float term of the kernel's sum: 1.0 for a missing cell
-    (m{j} is the left row's, tested once per call) or a label mismatch."""
+def _term(j, rng, t=""):
+    """Column j's float term of the distance between the left row t (cells
+    a{j}{t}, m{j}{t} its missing test, made once per call) and the right row
+    (cells b{j}): 1.0 for a missing cell or a label mismatch."""
+    a, m = f"a{j}{t}", f"m{j}{t}"
     if rng is None:
-        return f"(1.0 if m{j} or a{j} != b{j} else 0.0)"
+        return f"(1.0 if {m} or {a} != b{j} else 0.0)"
     if not rng:  # a zero range: present cells are 0.0 apart
-        return f"(1.0 if m{j} or b{j} is M else 0.0)"
-    return f"(1.0 if m{j} or b{j} is M else (q{j} := (a{j} - b{j}) / R{j}) * q{j})"
+        return f"(1.0 if {m} or b{j} is M else 0.0)"
+    return f"(1.0 if {m} or b{j} is M else (q{j} := ({a} - b{j}) / R{j}) * q{j})"
 
 
 def distance(row, other, ranges):
@@ -204,10 +237,18 @@ def kmeans(ds, cfg, initial_centroids=None):
     return ClusterModel(centroids, assignment, iterations, total_sse, sizes, k)
 
 
+def _check_assignment(n, model):
+    """A model scored on a dataset gives each of its n rows one of its k clusters."""
+    k = len(model.centroids)
+    if len(model.assignment) != n or not set(model.assignment) <= set(range(k)):
+        raise ValueError(f"assignment does not fit {n} rows and {k} clusters")
+
+
 def sse(ds, model):
     """Within-cluster sum of squared distances, recomputed from scratch."""
     ranges = attribute_ranges(ds)
     _check_arity(len(ranges), model.centroids)
+    _check_assignment(len(ds.rows), model)
     return _sse(row_kernel(ranges), ds.rows, model.centroids, model.assignment)
 
 
@@ -216,38 +257,44 @@ def silhouette_mean(ds, model):
     return silhouette_means(ds, [model])[0]
 
 
+# rows per silhouette tile; BENCH_23.json has the sizes measured
+TILE = 4
+
+
 def silhouette_means(ds, models):
     """Mean silhouette coefficient of each model fitted to the rows of ds.
 
     Rows in singleton clusters score 0, as does any row whose cohesion
-    and separation are both 0. Row i's distances to the rows after it
-    come from one kernel call, each computed once for both rows and
-    every model: O(n^2) distances, O(n * sum(k)) memory. Every sum takes
-    its terms in ascending row order, whatever the number of models.
+    and separation are both 0. The rows are taken TILE at a time: the
+    pairs inside the tile, then one generated pass over the rows after
+    it, each computed once and added to both rows' sums for every model:
+    O(n^2) distances, O(n * sum(k)) memory. Every sum takes its terms in
+    ascending row order, whatever the tile or the number of models.
     """
     rows = ds.rows
     n = len(rows)
-    kernel = row_kernel(attribute_ranges(ds))
-    # sums[t][i] is row i's running distance sum to cluster column t;
-    # model m's cluster c is column spans[m][0] + c, as in labels[m]
+    ranges = attribute_ranges(ds)
+    for model in models:
+        _check_assignment(n, model)
+    if not models:
+        return []
+    # model m's cluster c is sum column spans[m][0] + c; each row is packed
+    # with its running sums to every column and its own column per model
     spans, labels, width = [], [], 0
     for model in models:
         labels.append([width + ci for ci in model.assignment])
-        start, width = width, width + max(model.assignment, default=-1) + 1
+        start, width = width, width + len(model.centroids)
         spans.append((start, width))
-    sums = [[0.0] * n for _ in range(width)]
-    for i in range(n):
-        tail = kernel(rows[i], rows[i + 1 :])
-        own = [col[i] for col in sums]
-        for lab in labels:
-            for d, t in zip(tail, lab[i + 1 :]):
-                own[t] += d
-            col = sums[lab[i]]
-            col[i + 1 :] = map(operator.add, col[i + 1 :], tail)
-        for col, total in zip(sums, own):
-            col[i] = total
+    packed = list(zip(rows, [[0.0] * width for _ in rows], zip(*labels)))
+    one, whole = (_generate((len(models), tile), *ranges) for tile in (1, TILE))
+    for start in range(0, n, TILE):
+        end = min(start + TILE, n)
+        for i in range(start, end):
+            one(packed[i : i + 1], packed[i + 1 : end])
+        if end < n:  # only the last tile can be short
+            whole(packed[start:end], packed[end:])
     return [
-        _mean_silhouette(model.assignment, list(zip(*sums[start:end])))
+        _mean_silhouette(model.assignment, [sums[start:end] for _, sums, _ in packed])
         for model, (start, end) in zip(models, spans)
     ]
 

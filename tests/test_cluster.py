@@ -23,7 +23,7 @@ from mailminer import (
     silhouette_means,
     sse,
 )
-from mailminer.cluster import row_kernel
+from mailminer.cluster import TILE, row_kernel
 
 from helpers import naive_silhouette, oracle_distance, oracle_sse, random_dataset
 
@@ -353,17 +353,41 @@ def test_silhouette_matches_naive():
 
 
 def test_silhouette_means_match_naive_per_model():
-    # one shared pass over the pairs, exactly the per-model naive sums
+    # one shared pass over the pairs, exactly the per-model naive sums, for
+    # 1 to 10 models on fewer rows than a tile, one tile, and tiles and a part
     rnd = random.Random(37)
-    for _ in range(80):
-        ds = random_dataset(rnd, max_rows=30, min_rows=4)
-        ks = rnd.sample(range(1, len(ds.rows) + 1), rnd.randint(1, 4))
-        seed = rnd.randrange(2**32)
-        models = [kmeans(ds, KMeansConfig(k=k, seed=seed)) for k in ks]
-        pd = _pair_distance(ds)
-        assert silhouette_means(ds, models) == [
-            naive_silhouette(ds, m.assignment, pd) for m in models
-        ]
+    for n in (1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE, 3 * TILE + 5, 30):
+        for count in range(1, 11):
+            ds = random_dataset(rnd, max_rows=n, min_rows=n)
+            ks = rnd.choices(range(1, n + 1), k=count)
+            seed = rnd.randrange(2**32)
+            models = [kmeans(ds, KMeansConfig(k=k, seed=seed)) for k in ks]
+            pd = _pair_distance(ds)
+            assert silhouette_means(ds, models) == [
+                naive_silhouette(ds, m.assignment, pd) for m in models
+            ]
+        assert silhouette_means(ds, []) == []
+
+
+def test_an_assignment_that_does_not_fit_the_dataset_is_refused():
+    # each used to give a wrong figure or an IndexError: a longer assignment
+    # scored 0.7198 (IndexError in sse), a shorter one raised IndexError in
+    # the silhouette and gave sse 0.0062, and a label -1 or 5 left its row
+    # out of sse (0.0062) and scored 0.5486 or 0.4472
+    ds = _numeric_ds([0, 1, 10, 11])
+    model = kmeans(ds, KMeansConfig(k=2, seed=1))
+    assert model.assignment == [1, 1, 0, 0]
+    assert sse(ds, model) == pytest.approx(0.00826, abs=1e-5)
+    assert silhouette_mean(ds, model) == pytest.approx(0.8997, abs=1e-4)
+    for assignment in ([1, 1, 0, 0, 0], [1, 1, 0], [1, 1], [-1, 1, 0, 0], [5, 1, 0, 0], [1, 1, 0, 5]):
+        bad = replace(model, assignment=assignment)
+        for call in (
+            lambda: sse(ds, bad),
+            lambda: silhouette_mean(ds, bad),
+            lambda: silhouette_means(ds, [model, bad]),
+        ):
+            with pytest.raises(ValueError, match="assignment does not fit 4 rows and 2 clusters"):
+                call()
 
 
 def _brute_force_select_k(ds, cfg):
