@@ -274,14 +274,13 @@ def silhouette_means(ds, models):
     rows = ds.rows
     n = len(rows)
     ranges = attribute_ranges(ds)
-    for model in models:
-        _check_assignment(n, model)
     if not models:
         return []
     # model m's cluster c is sum column spans[m][0] + c; each row is packed
     # with its running sums to every column and its own column per model
     spans, labels, width = [], [], 0
     for model in models:
+        _check_assignment(n, model)
         labels.append([width + ci for ci in model.assignment])
         start, width = width, width + len(model.centroids)
         spans.append((start, width))
