@@ -16,10 +16,10 @@ cell adds 1.0, a label column 1.0 or 0.0, a zero range 0.0 (decided when
 the kernel is made), and any other range the quotient (x - c) / range
 computed once and squared, which is |x - c| / range squared to the bit.
 Assignment calls it once per centroid. The silhouette keeps each row's
-sums to every cluster of every model and takes the rows TILE at a time:
-a pass generated from the same term template computes each tile row's
-distance to each later row once and adds it to both rows' sums, in
-ascending row order: O(n^2) distances, O(n*sum(k)) memory.
+sums to every cluster of every model; one pass per TILE rows, generated
+from the same term template, computes the tile's own pairs, then each
+tile row's distance to each later row, once, adding it to both rows'
+sums in ascending row order: O(n^2) distances, O(n*sum(k)) memory.
 """
 
 import math
@@ -27,6 +27,7 @@ import operator
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import combinations
 
 from .core import MISSING, ArityMismatch, EmptyDataset, TooFewRows
 from .rng import Lcg
@@ -87,53 +88,56 @@ def _generate(shape, *ranges):
     """The row kernel (shape None), or the silhouette's tile pass for shape
     (models, tile rows): tile_pass(tile, rest), where tile and rest are
     lists of (row, sums, columns) and columns holds the row's sum column in
-    each model. For each rest row in order, each tile row's distance to it
-    is added to the rest row's sums at the tile row's columns and to the
-    tile row's sums at the rest row's columns, tile rows in order."""
-    b = ", ".join(f"b{j}" for j in range(len(ranges)))
+    each model. Each pair of tile rows (t ascending, then u > t ascending),
+    then each rest row in order with each tile row in order: their
+    distance is added to each row's sums at the other row's columns."""
     namespace = {f"R{j}": rng for j, rng in enumerate(ranges)}
     namespace.update(M=MISSING, sqrt=math.sqrt)
 
-    def left(t):  # the left row's cells and missing tests, names suffixed by t
-        cells = ", ".join(f"a{j}{t}" for j in range(len(ranges)))
-        return f"[{cells}]", "".join(f"    m{j}{t} = a{j}{t} is M\n" for j in range(len(ranges)))
+    def names(r, count):  # [r0, r1, ...]
+        return "[" + ", ".join(f"{r}{j}" for j in range(count)) + "]"
 
-    def dist(t):
-        return "sqrt(0.0" + "".join(" + " + _term(j, rng, t) for j, rng in enumerate(ranges)) + ")"
+    def missing(r):  # row r's missing tests, made once per call
+        return "".join(f"    m{r}{j} = {r}{j} is M\n" for j in range(len(ranges)))
+
+    def dist(r, o):
+        return "sqrt(0.0" + "".join(" + " + _term(j, rng, r, o) for j, rng in enumerate(ranges)) + ")"
 
     if shape is None:
-        cells, hoisted = left("")
         exec(f"""def kernel(row, rows):
-    {cells} = row
-{hoisted}    return [{dist("")} for [{b}] in rows]
+    {names("a", len(ranges))} = row
+{missing("a")}    return [{dist("a", "b")} for {names("b", len(ranges))} in rows]
 """, namespace)
         return namespace["kernel"]
     models, tile = shape
-    entries, hoisted, body = [], "", ""
-    for t in map("_{}".format, range(tile)):
-        cells, missing = left(t)
-        columns = ", ".join(f"c{t}_{m}" for m in range(models))
-        entries.append(f"[{cells}, s{t}, [{columns}]]")
-        hoisted += missing
-        body += f"        d = {dist(t)}\n"
-        body += "".join(f"        s{t}[l{m}] += d\n        s[c{t}_{m}] += d\n" for m in range(models))
+    rows = [f"t{t}_" for t in range(tile)]
+
+    def entry(r):  # row r as packed: cells r{j}, sums s{r}, columns c{r}{m}
+        return f"[{names(r, len(ranges))}, s{r}, {names('c' + r, models)}]"
+
+    def pair(r, o, indent):  # r's distance to o, added to both rows' sums
+        adds = "".join(f"{indent}s{r}[c{o}{m}] += d\n{indent}s{o}[c{r}{m}] += d\n" for m in range(models))
+        return f"{indent}d = {dist(r, o)}\n{adds}"
+
     exec(f"""def tile_pass(tile, rest):
-    [{", ".join(entries)}] = tile
-{hoisted}    for [{b}], s, [{", ".join(f"l{m}" for m in range(models))}] in rest:
-{body}""", namespace)
+    [{", ".join(map(entry, rows))}] = tile
+{"".join(map(missing, rows))}
+{"".join(pair(r, o, "    ") for r, o in combinations(rows, 2))}
+    for {entry("b")} in rest:
+{"".join(pair(r, "b", "        ") for r in rows)}""", namespace)
     return namespace["tile_pass"]
 
 
-def _term(j, rng, t=""):
-    """Column j's float term of the distance between the left row t (cells
-    a{j}{t}, m{j}{t} its missing test, made once per call) and the right row
-    (cells b{j}): 1.0 for a missing cell or a label mismatch."""
-    a, m = f"a{j}{t}", f"m{j}{t}"
+def _term(j, rng, r, o):
+    """Column j's float term of the distance between row r (cells r{j},
+    m{r}{j} its missing test, made once per call) and row o (cells o{j}):
+    1.0 for a missing cell or a label mismatch."""
+    a, b, m = f"{r}{j}", f"{o}{j}", f"m{r}{j}"
     if rng is None:
-        return f"(1.0 if {m} or {a} != b{j} else 0.0)"
+        return f"(1.0 if {m} or {a} != {b} else 0.0)"
     if not rng:  # a zero range: present cells are 0.0 apart
-        return f"(1.0 if {m} or b{j} is M else 0.0)"
-    return f"(1.0 if {m} or b{j} is M else (q{j} := ({a} - b{j}) / R{j}) * q{j})"
+        return f"(1.0 if {m} or {b} is M else 0.0)"
+    return f"(1.0 if {m} or {b} is M else (q{j} := ({a} - {b}) / R{j}) * q{j})"
 
 
 def distance(row, other, ranges):
@@ -265,10 +269,10 @@ def silhouette_means(ds, models):
     """Mean silhouette coefficient of each model fitted to the rows of ds.
 
     Rows in singleton clusters score 0, as does any row whose cohesion
-    and separation are both 0. The rows are taken TILE at a time: the
-    pairs inside the tile, then one generated pass over the rows after
-    it, each computed once and added to both rows' sums for every model:
-    O(n^2) distances, O(n * sum(k)) memory. Every sum takes its terms in
+    and separation are both 0. One generated pass per TILE rows takes
+    the pairs inside the tile, then the rows after it, each distance
+    computed once and added to both rows' sums for every model: O(n^2)
+    distances, O(n * sum(k)) memory. Every sum takes its terms in
     ascending row order, whatever the tile or the number of models.
     """
     rows = ds.rows
@@ -285,13 +289,9 @@ def silhouette_means(ds, models):
         start, width = width, width + len(model.centroids)
         spans.append((start, width))
     packed = list(zip(rows, [[0.0] * width for _ in rows], zip(*labels)))
-    one, whole = (_generate((len(models), tile), *ranges) for tile in (1, TILE))
     for start in range(0, n, TILE):
-        end = min(start + TILE, n)
-        for i in range(start, end):
-            one(packed[i : i + 1], packed[i + 1 : end])
-        if end < n:  # only the last tile can be short
-            whole(packed[start:end], packed[end:])
+        tile = packed[start : start + TILE]
+        _generate((len(models), len(tile)), *ranges)(tile, packed[start + TILE :])
     return [
         _mean_silhouette(model.assignment, [sums[start:end] for _, sums, _ in packed])
         for model, (start, end) in zip(models, spans)

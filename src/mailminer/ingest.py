@@ -15,7 +15,6 @@ import email.utils
 import functools
 import os
 import re
-import sys
 from collections import namedtuple
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -25,8 +24,6 @@ from .core import MISSING, DirectoryUnreadable, MalformedInput
 # The first blank line; the CR of a CRLF before it goes with the last header
 # line's strip, and a literal first character lets the search skip ahead.
 _SEPARATOR = re.compile(r"\n\r?\n")
-# A name holds a surrogate only where it escapes a byte that is not UTF-8.
-_SURROGATE = re.compile("[\ud800-\udfff]")
 # One parameter after its ";": its name, and its quoted or bare value.
 _PARAM = re.compile(r';\s*([^\s;=]+)\s*=\s*(?:"([^"]*)"|([^;\s]+))')
 # A delimiter line's rest after "--" + boundary (RFC 2046 §5.1.1).
@@ -368,8 +365,8 @@ def extract_record(raw):
 
 
 def _eml_files(root):
-    """Relative paths ("/"-separated) of the .eml files under root, in
-    one os.scandir pass per directory.
+    """Relative paths, as bytes joined by b"/", of the .eml files under
+    root, in one os.scandir pass per directory.
 
     A name is a .eml file when its last suffix is ".eml" in any case (a
     name that is only ".eml" has no suffix, as in pathlib) and it is a
@@ -380,22 +377,22 @@ def _eml_files(root):
     from the scandir iterator one at a time, so only the paths kept grow.
     """
     found = []
-    pending = [(os.fspath(root), "")]
+    pending = [(os.fsencode(root), b"")]
     while pending:
         path, prefix = pending.pop()
         try:
             it = os.scandir(path)
         except PermissionError:
-            if prefix:  # "" is the root
+            if prefix:  # b"" is the root
                 continue
             raise
         with it:
             for entry in it:
                 name = entry.name
                 if entry.is_dir(follow_symlinks=False):
-                    pending.append((entry.path, prefix + name + "/"))
-                elif len(name) > 4 and name[-4:].lower() == ".eml" and (
-                    Path(entry.path).is_file() if entry.is_symlink() else entry.is_file()
+                    pending.append((entry.path, prefix + name + b"/"))
+                elif len(name) > 4 and name[-4:].lower() == b".eml" and (
+                    Path(os.fsdecode(entry.path)).is_file() if entry.is_symlink() else entry.is_file()
                 ):
                     found.append(prefix + name)
     return found
@@ -419,10 +416,11 @@ def iter_corpus(directory, skipped, read=read_record):
     a link to a .eml file is read, a linked directory is not descended,
     and dangling links and directories named *.eml are ignored (see
     _eml_files). Files are processed in lexicographic byte order of their
-    relative path, so the result is independent of filesystem enumeration
-    order. Unparseable .eml files are appended to skipped under their
-    relative path, with a reason that names the file as
-    Path(directory) / relative path; non-.eml files are ignored entirely.
+    relative path, kept as bytes from the scan to the sort, so the result
+    is independent of filesystem enumeration order. Unparseable .eml
+    files are appended to skipped under their relative path, with a
+    reason that names the file as Path(directory) / relative path;
+    non-.eml files are ignored entirely.
     This call enumerates the directory, so DirectoryUnreadable comes first.
     """
     root = Path(directory)
@@ -431,14 +429,9 @@ def iter_corpus(directory, skipped, read=read_record):
     try:
         files = _eml_files(root)
     except OSError as exc:
+        exc.filename = os.fsdecode(exc.filename)  # the path as str, as it was given
         raise DirectoryUnreadable(f"cannot scan {directory}: {exc}") from exc
-    # code point order is UTF-8 byte order, so only an escaped byte or another
-    # file-system encoding needs bytes keys; keys for every path would sort no
-    # faster and peak at about 1.9x the paths kept, over the tests' 1.2x bound
-    if sys.getfilesystemencoding() == "utf-8" and not any(map(_SURROGATE.search, files)):
-        files.sort()
-    else:
-        files.sort(key=os.fsencode)
+    files.sort()
     return _read_each(str(root), files, skipped, read)
 
 
@@ -459,7 +452,7 @@ def _read_file(path):
 def _read_each(root, files, skipped, read):
     # root / rel as a plain string, as pathlib shows it ("." / rel is rel)
     prefix = "" if root == "." else os.path.join(root, "")
-    for rel in files:
+    for rel in map(os.fsdecode, files):
         path = prefix + rel
         try:
             value = read(_read_file(path), path)

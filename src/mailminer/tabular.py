@@ -144,8 +144,7 @@ def records_to_dataset(records, selected=CANONICAL_ATTRIBUTES):
     flattened to one semicolon-joined string; an empty CC list is missing.
     """
     ds = _streamed_dataset(records, selected)
-    ds.rows = list(ds.rows)
-    return ds
+    return Dataset(ds.schema, list(ds.rows), ds.relation_name)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +469,8 @@ def filter_discretize(ds, name, n_bins):
     """Replace a numeric/date column with equal-width bins b1..bN.
 
     Bins are half-open except the last, which is closed so the maximum
-    lands in bN. Missing cells stay missing.
+    lands in bN. Missing cells stay missing. A range wider than the
+    largest float is MalformedInput, before any row is binned.
     """
     [j] = ds.column_indices([name])
     spec = ds.schema[j]
@@ -482,6 +482,8 @@ def filter_discretize(ds, name, n_bins):
     values = [row[j] for row in ds.rows if row[j] is not MISSING]
     lo, hi = (min(values), max(values)) if values else (0.0, 0.0)
     width = (hi - lo) / n_bins
+    if math.isinf(width):
+        raise MalformedInput(f"column {name!r}: range {lo!r} to {hi!r} overflows a float")
 
     schema = list(ds.schema)
     schema[j] = AttributeSpec(name, "nominal", labels)

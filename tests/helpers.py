@@ -46,11 +46,12 @@ def run_cli(*args, env_extra=None, cwd=None):
 
 def refuse_scandir(monkeypatch, refused):
     """Make os.scandir raise PermissionError for one directory, as chmod 000
-    does for any user but root (tests may run as root)."""
+    does for any user but root (tests may run as root). The directory may
+    be given as str or bytes, and matches either."""
     scandir = os.scandir
 
     def guarded(path):
-        if os.fspath(path) == os.fspath(refused):
+        if os.fsencode(path) == os.fsencode(refused):
             raise PermissionError(13, "Permission denied", os.fspath(path))
         return scandir(path)
 

@@ -97,6 +97,13 @@ def test_unreadable_corpus_root_exits_3(tmp_path, monkeypatch, capsys, command):
     assert capsys.readouterr() == ("", f"mailminer: cannot scan {tmp_path}: [Errno 13] Permission denied: '{tmp_path}'\n")
 
 
+def test_filter_discretize_range_overflow_is_a_data_error(tmp_path, capsys):
+    csv = tmp_path / "big.csv"
+    csv.write_bytes(b"Date,From\n-1e308,a\n0,b\n1e308,c\n")
+    assert cli.main(["filter", str(csv), "--discretize", "Date:3"]) == 2
+    assert capsys.readouterr() == ("", "mailminer: data error: column 'Date': range -1e+308 to 1e+308 overflows a float\n")
+
+
 def test_convert_to_an_out_that_cannot_be_written_fails_before_the_scan(tmp_path):
     proc = run_cli("convert", FIXTURE_CORPUS, "--out", tmp_path / "no-such-dir" / "x.csv")
     assert proc.returncode == 3

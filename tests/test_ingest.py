@@ -276,6 +276,9 @@ def test_unparseable_date_is_missing():
     ("3 Jul 2023 23:59:60 +0000", MISSING),
     ("3 Jul 95 10:00:00 +0000", 804765600),
     ("3 Jul 05 10:00:00 +0000", 1120384800),
+    ("3 Jul 50 10:00:00 +0000", 2540455200),  # two-digit years 00-68 are 2000-2068
+    ("3 Jul 68 10:00:00 +0000", 3108535200),
+    ("3 Jul 69 10:00:00 +0000", -15688800),  # and 69-99 are 1969-1999
     ("3 Jul 0 10:00:00 +0000", 962618400),  # year 0 is a two-digit year: 2000
     ("3 Jul 0000 10:00:00 +0000", 962618400),
     ("3 Jul 100 10:00:00 +0100", -58995615600),
@@ -500,6 +503,22 @@ def test_scan_non_utf8_file_name_in_byte_order(tmp_path):
     proc = run_cli("convert", tmp_path)
     assert proc.returncode == 0
     assert proc.stdout.count(b"\n") == 5
+
+
+def test_scan_non_utf8_directory_name_in_byte_order(tmp_path):
+    # the directory b"\xff" is joined to its file names as bytes and sorts
+    # after "a"; its path is shown with the byte escaped, as os.fsdecode does
+    try:
+        for sub in (b"a", b"\xff"):
+            os.mkdir(os.path.join(os.fsencode(tmp_path), sub))
+            with open(os.path.join(os.fsencode(tmp_path), sub, b"m.eml"), "wb") as f:
+                f.write(b"From: " + sub.hex().encode() + b"@x.test\r\n\r\n.")
+    except OSError as exc:
+        pytest.skip(f"filesystem refuses a non-UTF-8 file name: {exc}")
+    (tmp_path / "\udcff" / "bad.eml").write_bytes(b"no header line and no blank line")
+    result = scan_corpus(tmp_path)
+    assert [r.from_addr for r in result.records] == ["61@x.test", "ff@x.test"]
+    assert [entry.path for entry in result.skipped] == ["\udcff/bad.eml"]
 
 
 def test_multipart_delimiters_with_blanks_cr_and_close():

@@ -488,6 +488,15 @@ def test_filter_discretize_missing_and_errors():
         filter_discretize(_text_ds("a"), "v", 2)
 
 
+def test_filter_discretize_refuses_a_range_that_overflows_a_float():
+    # -1e308 to 1e308 is wider than the largest float, so no bin width fits
+    ds = Dataset([AttributeSpec("x", "numeric")], [[-1e308], [0.0], [1e308]])
+    with pytest.raises(MalformedInput, match=r"^column 'x': range -1e\+308 to 1e\+308 overflows a float$"):
+        filter_discretize(ds, "x", 3)
+    ds = Dataset([AttributeSpec("x", "numeric")], [[-8e307], [0.0], [8e307]])  # a finite range keeps its bins
+    assert [r[0] for r in filter_discretize(ds, "x", 3).rows] == ["b1", "b2", "b3"]
+
+
 def test_duplicate_profile_all_rows_equal():
     ds = _text_ds("a", "a", "a")
     profile = duplicate_profile(ds, ["v"])
