@@ -5,7 +5,10 @@ kind hints) and for three seeded random mixed-type datasets of about 250
 rows, tests/golden/kernel.json holds, for k = 2..4 under one seed, the
 iteration count, the cluster sizes, a digest of the assignment, and the
 `repr` of `sse`, `one_pass_sse` (the SSE of the same fit capped at one
-iteration) and `silhouette_mean`, plus the k that `select_k` picks. It
+iteration) and `silhouette_mean`, plus the k that `select_k` picks; and
+the same fields but the silhouette for k = 1, 16 and 21 where the dataset
+has that many rows: one centroid, and two and three of the assignment
+pass's chunks of 8 centroids, the last one full and one partial. It
 also holds the `repr` of each score `silhouette_means` gives the models
 for k = 2..min(10, rows) under that seed, scored in one call: the CLI's
 default `--kmax`. The test recomputes them and asserts exact equality.
@@ -51,6 +54,7 @@ from helpers import random_dataset
 GOLDEN = ROOT / "tests" / "golden" / "kernel.json"
 SEED = 42
 K_RANGE = range(2, 5)
+K_CHUNKED = (1, 16, 21)
 KMAX = 10  # the CLI's default --kmax
 RANDOM_SEEDS = (101, 202, 303)
 
@@ -73,24 +77,29 @@ def _digest(assignment):
     return hashlib.sha256(",".join(map(str, assignment)).encode()).hexdigest()[:16]
 
 
+def _fit(ds, k):
+    model = kmeans(ds, KMeansConfig(k=k, seed=SEED))
+    return model, {
+        "iterations": model.iterations,
+        "sizes": model.sizes,
+        "assignment_sha256": _digest(model.assignment),
+        "sse": repr(model.sse),
+        "one_pass_sse": repr(kmeans(ds, KMeansConfig(k=k, max_iterations=1, seed=SEED)).sse),
+    }
+
+
 def _kernel_results(ds):
     per_k = {}
     for k in K_RANGE:
-        model = kmeans(ds, KMeansConfig(k=k, seed=SEED))
-        per_k[str(k)] = {
-            "iterations": model.iterations,
-            "sizes": model.sizes,
-            "assignment_sha256": _digest(model.assignment),
-            "sse": repr(model.sse),
-            "one_pass_sse": repr(kmeans(ds, KMeansConfig(k=k, max_iterations=1, seed=SEED)).sse),
-            "silhouette_mean": repr(silhouette_mean(ds, model)),
-        }
+        model, fields = _fit(ds, k)
+        per_k[str(k)] = {**fields, "silhouette_mean": repr(silhouette_mean(ds, model))}
     chosen, _ = select_k(ds, KMeansConfig(k_max=max(K_RANGE), seed=SEED))
     ks = range(2, min(KMAX, len(ds.rows)) + 1)
     scores = silhouette_means(ds, [kmeans(ds, KMeansConfig(k=k, seed=SEED)) for k in ks])
     return {
         "rows": len(ds.rows),
         "k": per_k,
+        "k_chunked": {str(k): _fit(ds, k)[1] for k in K_CHUNKED if k <= len(ds.rows)},
         "select_k": chosen,
         "silhouette_means": {str(k): repr(score) for k, score in zip(ks, scores)},
     }
