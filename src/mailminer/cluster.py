@@ -8,18 +8,22 @@ Distance is the Euclidean combination of per-attribute differences:
 match and 1 on mismatch for the rest, and 1 if either side is missing.
 Centroids carry the mean of a ranged column and the mode of the rest.
 
-Every distance comes from `row_kernel(ranges)`, one row against many,
-generated and kept per set of ranges as a list comprehension with the
-columns unrolled. Its bits equal the generic per-pair loop's: each pair sums 0.0
-and one float term per column, left to right, before the sqrt. A missing
-cell adds 1.0, a label column 1.0 or 0.0, a zero range 0.0 (decided when
-the kernel is made), and any other range the quotient (x - c) / range
-computed once and squared, which is |x - c| / range squared to the bit.
-Assignment calls it once per centroid. The silhouette keeps each row's
-sums to every cluster of every model; one pass per TILE rows, generated
-from the same term template, computes the tile's own pairs, then each
-tile row's distance to each later row, once, adding it to both rows'
-sums in ascending row order: O(n^2) distances, O(n*sum(k)) memory.
+Every distance is generated code, made and kept per set of ranges from
+one term template with the columns unrolled: `row_kernel(ranges)`, one
+row against many, the assignment pass and the silhouette's tile pass.
+Their bits equal the generic per-pair loop's, which sums 0.0 and one float
+term per column, left to right, before the sqrt; the generated sum
+starts at the first term, never -0.0, so 0.0 + term is that term. A
+missing cell adds 1.0, a label column 1.0 or 0.0, a zero range 0.0
+(decided when the code is made), and any other range the quotient
+(x - c) / range computed once and squared, which is |x - c| / range
+squared to the bit. The assignment pass takes up to CHUNK centroids: it
+unpacks each row once and keeps its nearest centroid and distance over
+them, and a larger k runs several passes, each continuing the last. The
+silhouette keeps each row's sums to every cluster of every model; one
+pass per TILE rows computes the tile's own pairs, then each tile row's
+distance to each later row, once, adding it to both rows' sums in
+ascending row order: O(n^2) distances, O(n*sum(k)) memory.
 """
 
 import math
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 
-from .core import MISSING, ArityMismatch, EmptyDataset, TooFewRows
+from .core import MISSING, ArityMismatch, EmptyDataset, MalformedInput, TooFewRows
 from .rng import Lcg
 
 
@@ -49,13 +53,17 @@ class ClusterModel:
 
 def attribute_ranges(ds):
     """Per column: max - min over the non-missing cells of a number column
-    (0.0 when there are none), or None for a nominal/text column."""
+    (0.0 when there are none), or None for a nominal/text column. A range
+    wider than the largest float is MalformedInput."""
     _check_arity(len(ds.schema), ds.rows)
     ranges = []
     for j, spec in enumerate(ds.schema):
         if spec.is_number:
             values = [row[j] for row in ds.rows if row[j] is not MISSING]
-            ranges.append(max(values) - min(values) if values else 0.0)
+            lo, hi = (min(values), max(values)) if values else (0.0, 0.0)
+            if not hi - lo < math.inf:  # inf or NaN; an int range of any size passes
+                raise MalformedInput(f"column {spec.name!r}: range {lo!r} to {hi!r} overflows a float")
+            ranges.append(hi - lo)
         else:
             ranges.append(None)
     return ranges
@@ -72,6 +80,12 @@ def _left_sum(values):
     return reduce(operator.add, values, 0.0)
 
 
+# centroids per assignment pass, BENCH_25.json has the sizes measured;
+# rows per silhouette tile, BENCH_23.json has the sizes measured
+CHUNK = 8
+TILE = 4
+
+
 def row_kernel(ranges):
     """kernel(row, rows) -> [distance(row, other, ranges) for other in rows],
     generated from column indices and fixed templates only: the ranges are
@@ -85,12 +99,20 @@ def row_kernel(ranges):
 # typed: an int range and an equal float range divide differently
 @lru_cache(maxsize=64, typed=True)
 def _generate(shape, *ranges):
-    """The row kernel (shape None), or the silhouette's tile pass for shape
-    (models, tile rows): tile_pass(tile, rest), where tile and rest are
-    lists of (row, sums, columns) and columns holds the row's sum column in
-    each model. Each pair of tile rows (t ascending, then u > t ascending),
-    then each rest row in order with each tile row in order: their
-    distance is added to each row's sums at the other row's columns."""
+    """The row kernel (shape None), the assignment pass (("nearest", count,
+    first)) or the silhouette's tile pass (("tile", models, tile rows)).
+
+    nearest(centroids, base, rows, labels, best) -> the new (labels, best):
+    each row, unpacked once, against count centroids labelled base,
+    base + 1, ... in turn, keeping a strict minimum, so ties go to the
+    lowest label. A first pass starts at its first centroid's distance (a
+    NaN one stays); a later pass continues the labels and best given.
+
+    tile_pass(tile, rest) takes lists of (row, sums, columns), where
+    columns holds the row's sum column in each model. Each pair of tile
+    rows (t ascending, then u > t ascending), then each rest row in order
+    with each tile row in order: their distance is added to each row's
+    sums at the other row's columns."""
     namespace = {f"R{j}": rng for j, rng in enumerate(ranges)}
     namespace.update(M=MISSING, sqrt=math.sqrt)
 
@@ -101,7 +123,7 @@ def _generate(shape, *ranges):
         return "".join(f"    m{r}{j} = {r}{j} is M\n" for j in range(len(ranges)))
 
     def dist(r, o):
-        return "sqrt(0.0" + "".join(" + " + _term(j, rng, r, o) for j, rng in enumerate(ranges)) + ")"
+        return "sqrt(" + (" + ".join(_term(j, rng, r, o) for j, rng in enumerate(ranges)) or "0.0") + ")"
 
     if shape is None:
         exec(f"""def kernel(row, rows):
@@ -109,7 +131,26 @@ def _generate(shape, *ranges):
 {missing("a")}    return [{dist("a", "b")} for {names("b", len(ranges))} in rows]
 """, namespace)
         return namespace["kernel"]
-    models, tile = shape
+    if shape[0] == "nearest":
+        _, count, first = shape
+
+        def step(c):  # centroid c against row b; a first pass starts at centroid 0
+            if first and not c:
+                return f"        l, d = L0, {dist('c0_', 'b')}\n"
+            return f"        e = {dist(f'c{c}_', 'b')}\n        if e < d:\n            l, d = L{c}, e\n"
+
+        exec(f"""def nearest(centroids, base, rows, labels, best):
+    [{", ".join(names(f"c{c}_", len(ranges)) for c in range(count))}] = centroids
+{"".join(missing(f"c{c}_") for c in range(count))}    {names("L", count)} = range(base, base + {count})
+    new_labels, new_best = [], []
+    label, keep = new_labels.append, new_best.append
+    for {names("b", len(ranges))}{" in rows" if first else ", l, d in zip(rows, labels, best)"}:
+{"".join(map(step, range(count)))}        label(l)
+        keep(d)
+    return new_labels, new_best
+""", namespace)
+        return namespace["nearest"]
+    _, models, tile = shape
     rows = [f"t{t}_" for t in range(tile)]
 
     def entry(r):  # row r as packed: cells r{j}, sums s{r}, columns c{r}{m}
@@ -162,16 +203,6 @@ def _centroid(members, ranges):
     return cells
 
 
-def _nearest(kernel, centroids, rows):
-    """Each row's closest centroid and distance to it, ties to the lowest index."""
-    labels, best = [0] * len(rows), kernel(centroids[0], rows)
-    for ci in range(1, len(centroids)):
-        for i, d in enumerate(kernel(centroids[ci], rows)):
-            if d < best[i]:
-                labels[i], best[i] = ci, d
-    return labels, best
-
-
 def _sse(kernel, rows, centroids, assignment):
     """One kernel call per cluster on its members, squares summed in row order."""
     squares = [0.0] * len(rows)
@@ -204,7 +235,6 @@ def kmeans(ds, cfg, initial_centroids=None):
     if k > n:
         raise TooFewRows(f"k={k} but only {n} rows")
     ranges = attribute_ranges(ds)
-    kernel = row_kernel(ranges)
 
     if initial_centroids is not None:
         if len(initial_centroids) != k:
@@ -218,7 +248,11 @@ def kmeans(ds, cfg, initial_centroids=None):
     iterations = 0
     while iterations < cfg.max_iterations:
         iterations += 1
-        new_assignment, dists = _nearest(kernel, centroids, rows)
+        new_assignment = dists = None
+        for start in range(0, k, CHUNK):
+            chunk = centroids[start : start + CHUNK]
+            nearest = _generate(("nearest", len(chunk), start == 0), *ranges)
+            new_assignment, dists = nearest(chunk, start, rows, new_assignment, dists)
         if new_assignment == assignment:
             # the centroids have not moved since this pass
             total_sse = _left_sum([d ** 2 for d in dists])
@@ -235,7 +269,7 @@ def kmeans(ds, cfg, initial_centroids=None):
         del members
     else:
         # capped: the last update moved the centroids
-        total_sse = _sse(kernel, rows, centroids, assignment)
+        total_sse = _sse(row_kernel(ranges), rows, centroids, assignment)
 
     sizes = [assignment.count(ci) for ci in range(k)]
     return ClusterModel(centroids, assignment, iterations, total_sse, sizes, k)
@@ -259,10 +293,6 @@ def sse(ds, model):
 def silhouette_mean(ds, model):
     """Mean silhouette coefficient of a fitted model."""
     return silhouette_means(ds, [model])[0]
-
-
-# rows per silhouette tile; BENCH_23.json has the sizes measured
-TILE = 4
 
 
 def silhouette_means(ds, models):
@@ -291,7 +321,7 @@ def silhouette_means(ds, models):
     packed = list(zip(rows, [[0.0] * width for _ in rows], zip(*labels)))
     for start in range(0, n, TILE):
         tile = packed[start : start + TILE]
-        _generate((len(models), len(tile)), *ranges)(tile, packed[start + TILE :])
+        _generate(("tile", len(models), len(tile)), *ranges)(tile, packed[start + TILE :])
     return [
         _mean_silhouette(model.assignment, [sums[start:end] for _, sums, _ in packed])
         for model, (start, end) in zip(models, spans)

@@ -4,8 +4,8 @@ directory, and the oracles: an ARFF reader, a per-character CSV
 tokenizer and the read_csv error it implies, a regex MIME part splitter,
 a header/body cut by the earlier separator pattern, the earlier
 datetime-based Date reading, a per-pair distance loop, a per-row SSE
-loop, a naive SSE recomputation, a naive silhouette, and a random
-dataset generator."""
+loop, a plain Lloyd iteration, a naive SSE recomputation, a naive
+silhouette, and a random dataset generator."""
 
 import email.utils
 import math
@@ -334,6 +334,53 @@ def oracle_sse(ds, model, ranges):
         oracle_distance(row, model.centroids[ci], ranges) ** 2
         for row, ci in zip(ds.rows, model.assignment)
     )
+
+
+def oracle_lloyd(ds, centroids, max_iterations):
+    """Plain Lloyd iteration from the given centroids; the reference for
+    mailminer.cluster.kmeans: (assignment, iterations, sse). Each pass runs
+    one oracle_distance loop over the rows per centroid, a strict < so
+    ties go to the lowest index, then moves each non-empty cluster's
+    centroid to the mean of its number columns and the first-seen mode of
+    the rest (missing where no member has the cell). It stops on the pass
+    that changes no assignment, counted, or after max_iterations; the SSE
+    is then each row's squared distance to its centroid, in row order."""
+    number = [spec.kind in ("numeric", "date") for spec in ds.schema]
+    ranges = []
+    for j, is_number in enumerate(number):
+        cells = [row[j] for row in ds.rows if row[j] is not MISSING]
+        ranges.append((max(cells) - min(cells) if cells else 0.0) if is_number else None)
+    centroids = [list(c) for c in centroids]
+    assignment, iterations = None, 0
+    while iterations < max_iterations:
+        iterations += 1
+        labels = [0] * len(ds.rows)
+        best = [oracle_distance(row, centroids[0], ranges) for row in ds.rows]
+        for ci in range(1, len(centroids)):
+            for i, row in enumerate(ds.rows):
+                d = oracle_distance(row, centroids[ci], ranges)
+                if d < best[i]:
+                    labels[i], best[i] = ci, d
+        if labels == assignment:
+            break
+        assignment = labels
+        for ci in range(len(centroids)):
+            members = [row for row, cj in zip(ds.rows, assignment) if cj == ci]
+            if not members:
+                continue
+            for j, is_number in enumerate(number):
+                present = [row[j] for row in members if row[j] is not MISSING]
+                if not present:
+                    centroids[ci][j] = MISSING
+                elif is_number:
+                    centroids[ci][j] = left_sum(present) / len(present)
+                else:
+                    counts = {}
+                    for v in present:
+                        counts[v] = counts.get(v, 0) + 1
+                    centroids[ci][j] = max(counts, key=counts.get)
+    sse = left_sum(oracle_distance(row, centroids[ci], ranges) ** 2 for row, ci in zip(ds.rows, assignment))
+    return assignment, iterations, sse
 
 
 def naive_sse(ds, model):

@@ -104,6 +104,14 @@ def test_filter_discretize_range_overflow_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr() == ("", "mailminer: data error: column 'Date': range -1e+308 to 1e+308 overflows a float\n")
 
 
+@pytest.mark.parametrize("mode", [["--k", "2"], ["--auto-k", "--kmax", "3"]])
+def test_cluster_range_overflow_is_a_data_error(tmp_path, capsys, mode):
+    csv = tmp_path / "big.csv"
+    csv.write_bytes(b"Date,From\n-1e308,a\n0,b\n1e308,c\n")
+    assert cli.main(["cluster", str(csv), *mode]) == 2
+    assert capsys.readouterr() == ("", "mailminer: data error: column 'Date': range -1e+308 to 1e+308 overflows a float\n")
+
+
 def test_convert_to_an_out_that_cannot_be_written_fails_before_the_scan(tmp_path):
     proc = run_cli("convert", FIXTURE_CORPUS, "--out", tmp_path / "no-such-dir" / "x.csv")
     assert proc.returncode == 3

@@ -14,6 +14,7 @@ from mailminer import (
     Dataset,
     EmptyDataset,
     KMeansConfig,
+    MalformedInput,
     TooFewRows,
     attribute_ranges,
     distance,
@@ -23,9 +24,11 @@ from mailminer import (
     silhouette_means,
     sse,
 )
-from mailminer.cluster import TILE, row_kernel
+from mailminer import cluster
+from mailminer.cluster import CHUNK, TILE, _generate, row_kernel
+from mailminer.rng import Lcg
 
-from helpers import naive_silhouette, oracle_distance, oracle_sse, random_dataset
+from helpers import naive_silhouette, oracle_distance, oracle_lloyd, oracle_sse, random_dataset
 
 
 def _numeric_ds(values, name="x"):
@@ -87,6 +90,16 @@ def test_row_kernel_is_kept_per_ranges():
             oracle_distance([0, "a"], [big, "a"], ranges)
         ]
     assert row_kernel([3, None]) is not row_kernel([3.0, None])
+
+
+def test_attribute_ranges_refuses_a_range_that_overflows_a_float():
+    # -1e308 to 1e308 is wider than the largest float: every term of that
+    # column would be 0.0 or NaN
+    with pytest.raises(MalformedInput, match=r"^column 'x': range -1e\+308 to 1e\+308 overflows a float$"):
+        attribute_ranges(_numeric_ds([-1e308, 0, 1e308]))
+    assert attribute_ranges(_numeric_ds([-8e307, 0, 8e307])) == [1.6e308]
+    ds = Dataset([AttributeSpec("x", "numeric")], [[0], [2**1100]])  # an int range needs no float
+    assert attribute_ranges(ds) == [2**1100]
 
 
 def test_centroid_arity_mismatch():
@@ -171,7 +184,13 @@ def _kernel_cases(draw):
     rows = [list(cells) for cells in zip(*columns)] if n else []
     centroid_cells = {"text": _CENTROID_TEXT, "nominal": st.sampled_from(_DOMAIN)}
     centroid = [draw(st.one_of(st.just(MISSING), centroid_cells.get(kind, _CELL_NUMBER))) for kind in kinds]
-    return attribute_ranges(Dataset(schema, rows)), centroid, rows
+    # attribute_ranges refuses an overflowing range; the kernel takes it
+    present = [[cell for cell in column if cell is not MISSING] for column in columns]
+    ranges = [
+        max(cells, default=0.0) - min(cells, default=0.0) if spec.is_number else None
+        for spec, cells in zip(schema, present)
+    ]
+    return ranges, centroid, rows
 
 
 @given(_kernel_cases())
@@ -243,6 +262,69 @@ def test_sse_bits_with_missing_cells_and_an_emptied_cluster():
     model = kmeans(ds, KMeansConfig(k=3, max_iterations=1), [[0.0, "a"], [10.0, "b"], [1e6, "a"]])
     assert model.iterations == 1 and model.sizes[2] == 0
     assert model.sse.hex() == sse(ds, model).hex() == oracle_sse(ds, model, ranges).hex()
+
+
+_LLOYD_NUMBER = st.one_of(st.sampled_from([-2.0, 0.0, 0.5, 3.0]), st.floats(-1e3, 1e3))
+# caller centroids: outside every column's range, far enough to give an inf
+# distance (ties among several), NaN, and labels no row has
+_OUTSIDE_NUMBER = st.one_of(st.floats(-1e7, 1e7), st.sampled_from([-1e300, 1e300, math.nan]))
+
+
+@st.composite
+def _lloyd_cases(draw):
+    """(ds, k, initial centroids or None, max_iterations, seed): k from 1 to
+    CHUNK + 2, missing cells, constant columns and duplicate rows (ties)."""
+    k = draw(st.integers(1, CHUNK + 2))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "date", "nominal", "text"]), min_size=1, max_size=4))
+    cells, outside = [], []
+    for kind in kinds:
+        if kind in ("numeric", "date"):
+            cells.append(draw(st.sampled_from([_LLOYD_NUMBER, st.just(draw(_LLOYD_NUMBER))])))
+            outside.append(_OUTSIDE_NUMBER)
+        else:
+            cells.append(st.sampled_from(_DOMAIN if kind == "nominal" else ("a", "b", "c")))
+            outside.append(st.sampled_from(_DOMAIN + ("z",)))
+    # a missing cell is as likely as a present one in a column that has them
+    sparse = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    row = st.tuples(*[st.one_of(st.just(MISSING), c) if m else c for c, m in zip(cells, sparse)]).map(list)
+    rows = draw(st.lists(row, min_size=k, max_size=k + 16))
+    rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=8))]
+    rows = draw(st.permutations(rows))
+    schema = [
+        AttributeSpec(f"c{j}", kind, _DOMAIN if kind == "nominal" else ())
+        for j, kind in enumerate(kinds)
+    ]
+    centroid = st.tuples(*[st.one_of(st.just(MISSING), c) for c in outside]).map(list)
+    centroids = draw(st.one_of(st.none(), st.lists(centroid, min_size=k, max_size=k)))
+    return Dataset(schema, rows), k, centroids, draw(st.sampled_from([1, 2, 100])), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_lloyd_cases())
+def test_kmeans_matches_plain_lloyd(case):
+    # assignment, iterations and the bits of sse, capped and converged
+    ds, k, centroids, max_iterations, seed = case
+    model = kmeans(ds, KMeansConfig(k=k, max_iterations=max_iterations, seed=seed), centroids)
+    start = centroids if centroids is not None else [ds.rows[i] for i in Lcg(seed).choose(len(ds.rows), k)]
+    assignment, iterations, expected = oracle_lloyd(ds, start, max_iterations)
+    assert (model.assignment, model.iterations, model.sse.hex()) == (assignment, iterations, expected.hex())
+
+
+def test_a_large_k_runs_assignment_passes_of_at_most_chunk_centroids(monkeypatch):
+    shapes = []
+
+    def recording(shape, *ranges):
+        shapes.append(shape)
+        return _generate(shape, *ranges)
+
+    monkeypatch.setattr(cluster, "_generate", recording)
+    ds = random_dataset(random.Random(5), max_rows=260, min_rows=240)
+    model = kmeans(ds, KMeansConfig(k=200, max_iterations=2, seed=1))
+    # each pass: one first chunk, then 24 that continue it, the last one full
+    nearest = [shape for shape in shapes if shape and shape[0] == "nearest"]
+    assert nearest == [("nearest", CHUNK, start == 0) for start in range(0, 200, CHUNK)] * 2
+    start = [ds.rows[i] for i in Lcg(1).choose(len(ds.rows), 200)]
+    assignment, iterations, expected = oracle_lloyd(ds, start, 2)
+    assert (model.assignment, model.iterations, model.sse.hex()) == (assignment, iterations, expected.hex())
 
 
 @pytest.mark.parametrize("max_iterations", [8, 100])
