@@ -319,9 +319,9 @@ def test_a_large_k_runs_assignment_passes_of_at_most_chunk_centroids(monkeypatch
     monkeypatch.setattr(cluster, "_generate", recording)
     ds = random_dataset(random.Random(5), max_rows=260, min_rows=240)
     model = kmeans(ds, KMeansConfig(k=200, max_iterations=2, seed=1))
-    # each pass: one first chunk, then 24 that continue it, the last one full
+    # each of the two passes: a first chunk, then chunks that continue it
     nearest = [shape for shape in shapes if shape and shape[0] == "nearest"]
-    assert nearest == [("nearest", CHUNK, start == 0) for start in range(0, 200, CHUNK)] * 2
+    assert nearest == [("nearest", min(CHUNK, 200 - start), start == 0) for start in range(0, 200, CHUNK)] * 2
     start = [ds.rows[i] for i in Lcg(1).choose(len(ds.rows), 200)]
     assignment, iterations, expected = oracle_lloyd(ds, start, 2)
     assert (model.assignment, model.iterations, model.sse.hex()) == (assignment, iterations, expected.hex())
