@@ -24,8 +24,8 @@ Each `convert` (csv, arff, `--attrs`) and `top-senders` runs as a
 so the paths on stderr are the same in every run. Then `convert --out`
 writes the generated corpus's CSV once, and every command that reads a
 CSV runs on it with its own `--out` file: `cluster --k 3` and
-`cluster --auto-k --kmax 5` (each as text, csv and svg), `dupes` and the
-four `filter` modes. The golden holds the sha256 of each child's stdout
+`cluster --auto-k --kmax 5` (each as text, csv and svg), `cluster
+--auto-k` at the default `--kmax`, `dupes` and the four `filter` modes. The golden holds the sha256 of each child's stdout
 and stderr, its exit code and the sha256 of its `--out` file.
 
     python tests/test_corpus_golden.py --check
@@ -64,6 +64,7 @@ CSV_COMMANDS = [
         for name, flags in (("k3", ["--k", "3"]), ("auto_k", ["--auto-k", "--kmax", "5"]))
         for report in ("text", "csv", "svg")
     ),
+    ("cluster_auto_k_default", ["cluster", CSV, "--auto-k"]),
     ("dupes", ["dupes", CSV, "--attrs", "From,Subject,HTML"]),
     ("filter_remove", ["filter", CSV, "--remove", "Subject,CC"]),
     ("filter_sample", ["filter", CSV, "--sample", "0.5", "--seed", "3"]),

@@ -5,7 +5,8 @@ kind hints) and for three seeded random mixed-type datasets of about 250
 rows, tests/golden/kernel.json holds, for k = 2..4 under one seed, the
 iteration count, the cluster sizes, a digest of the assignment, and the
 `repr` of `sse`, `one_pass_sse` (the SSE of the same fit capped at one
-iteration) and `silhouette_mean`, plus the k that `select_k` picks; and
+iteration) and `silhouette_mean`, plus the k that `select_k` picks at
+`k_max` 4 and at `k_max` = min(10, rows); and
 the same fields but the silhouette for k = 1, 16 and 21 where the dataset
 has that many rows: one centroid, and two and three of the assignment
 pass's chunks of 8 centroids, the last one full and one partial. It
@@ -95,12 +96,14 @@ def _kernel_results(ds):
         per_k[str(k)] = {**fields, "silhouette_mean": repr(silhouette_mean(ds, model))}
     chosen, _ = select_k(ds, KMeansConfig(k_max=max(K_RANGE), seed=SEED))
     ks = range(2, min(KMAX, len(ds.rows)) + 1)
+    chosen_at_kmax, _ = select_k(ds, KMeansConfig(k_max=ks[-1], seed=SEED))
     scores = silhouette_means(ds, [kmeans(ds, KMeansConfig(k=k, seed=SEED)) for k in ks])
     return {
         "rows": len(ds.rows),
         "k": per_k,
         "k_chunked": {str(k): _fit(ds, k)[1] for k in K_CHUNKED if k <= len(ds.rows)},
         "select_k": chosen,
+        "select_k_kmax": chosen_at_kmax,
         "silhouette_means": {str(k): repr(score) for k, score in zip(ks, scores)},
     }
 
