@@ -24,6 +24,17 @@ silhouette keeps each row's sums to every cluster of every model; one
 pass per TILE rows computes the tile's own pairs, then each tile row's
 distance to each later row, once, adding it to both rows' sums in
 ascending row order: O(n^2) distances, O(n*sum(k)) memory.
+
+`select_k` chooses by a second, private path. Each row's joint cell is
+the tuple of its labels in all the candidate models; while there are at
+most 4 * sum(k) such cells, the tile pass runs once with the cells as
+clusters, so a pair costs two additions however many models there are,
+and each row is scored as soon as its sums are final. Those sums are
+added in another order, so their scores are not output: they only
+choose, and only when the best beats every other by more than 4B, B
+being an a-priori bound on any order's rounding error (`_score_bound`).
+Any other case, ties and non-finite scores included, is scored by
+`silhouette_means` and chosen by `max`, so the choice is the same.
 """
 
 import math
@@ -33,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 
-from .core import MISSING, ArityMismatch, EmptyDataset, MalformedInput, TooFewRows
+from .core import MISSING, ArityMismatch, EmptyDataset, TooFewRows, number_range
 from .rng import Lcg
 
 
@@ -54,15 +65,12 @@ class ClusterModel:
 def attribute_ranges(ds):
     """Per column: max - min over the non-missing cells of a number column
     (0.0 when there are none), or None for a nominal/text column. A range
-    wider than the largest float is MalformedInput."""
+    that overflows a float (`number_range`) is MalformedInput."""
     _check_arity(len(ds.schema), ds.rows)
     ranges = []
     for j, spec in enumerate(ds.schema):
         if spec.is_number:
-            values = [row[j] for row in ds.rows if row[j] is not MISSING]
-            lo, hi = (min(values), max(values)) if values else (0.0, 0.0)
-            if not hi - lo < math.inf:  # inf or NaN; an int range of any size passes
-                raise MalformedInput(f"column {spec.name!r}: range {lo!r} to {hi!r} overflows a float")
+            lo, hi = number_range(spec.name, [row[j] for row in ds.rows])
             ranges.append(hi - lo)
         else:
             ranges.append(None)
@@ -335,22 +343,118 @@ def _mean_silhouette(labels, sums):
         sizes[ci] += 1
     total = 0.0
     for row_sums, ci in zip(sums, labels):
-        if sizes[ci] <= 1:
-            continue
-        a = row_sums[ci] / (sizes[ci] - 1)
-        means = [s / m for cj, (s, m) in enumerate(zip(row_sums, sizes)) if m and cj != ci]
-        if not means:
-            continue
-        b = min(means)
-        denom = max(a, b)
-        if denom > 0:
-            total += (b - a) / denom
+        score = _row_score(row_sums, ci, sizes)
+        if score is not None:
+            total += score
     return total / len(labels) if labels else 0.0
+
+
+def _row_score(sums, ci, sizes):
+    """s(i) of a row in cluster ci, from its distance sums to every cluster
+    and the clusters' sizes; None for a row that scores 0: one alone in
+    its cluster, one with no other cluster, or one whose a and b are both
+    0 (or whose max(a, b) is NaN)."""
+    if sizes[ci] <= 1:
+        return None
+    a = sums[ci] / (sizes[ci] - 1)
+    means = [s / m for cj, (s, m) in enumerate(zip(sums, sizes)) if m and cj != ci]
+    if not means:
+        return None
+    b = min(means)
+    denom = max(a, b)
+    return (b - a) / denom if denom > 0 else None
+
+
+def _joint_scores(ds, models):
+    """Each model's mean silhouette from distance sums kept per joint cell,
+    or None when there are more than 4 * sum(k) cells.
+
+    A row's joint cell is the tuple of its labels in all the models,
+    numbered in first-seen order. The tile pass runs once, as for one
+    model whose clusters are the J cells, so each pair costs one distance
+    and two additions. A tile's rows have their final sums once its pass
+    is done: each is scored then, a model's cluster sum being the sum of
+    its cells' sums, and its list of J sums let go. The sums are added in
+    another order than `silhouette_means` adds them, so a score may differ
+    from that one's in its last bits, by at most 2 * _score_bound(n); the
+    distances themselves are the same bits. The cap keeps memory at
+    O(n * sum(k)), as J can reach n."""
+    rows = ds.rows
+    cells = {}
+    joint = [cells.setdefault(key, len(cells)) for key in zip(*(model.assignment for model in models))]
+    if len(cells) > 4 * sum(len(model.centroids) for model in models):
+        return None
+    ranges = attribute_ranges(ds)
+    # per model: the cluster of each joint cell, and the clusters' sizes
+    per_model = [(labels, model.sizes) for labels, model in zip(zip(*cells), models)]
+    totals = [0.0] * len(models)
+    packed = list(zip(rows, [[0.0] * len(cells) for _ in rows], zip(joint)))
+    for start in range(0, len(rows), TILE):
+        tile = packed[start : start + TILE]
+        packed[start : start + TILE] = [None] * len(tile)  # freed once scored
+        _generate(("tile", 1, len(tile)), *ranges)(tile, packed[start + TILE :])
+        for _, cell_sums, (cell,) in tile:
+            for m, (labels, sizes) in enumerate(per_model):
+                sums = [0.0] * len(sizes)
+                for ci, s in zip(labels, cell_sums):
+                    sums[ci] += s
+                score = _row_score(sums, labels[cell], sizes)
+                if score is not None:
+                    totals[m] += score
+    return [total / len(rows) for total in totals]
+
+
+def _score_bound(n):
+    """B, an a-priori bound on how far a mean silhouette of n rows, its sums
+    added in any order, lies from the same score computed in exact
+    arithmetic from the same float distances (Higham 2002, *Accuracy and
+    Stability of Numerical Algorithms*, sections 3.1 and 4.2). With
+    u = 2**-53 and gamma(k) = k*u / (1 - k*u):
+
+    - A row's sum to a cluster adds at most n - 1 nonnegative distances,
+      so in any order, or tree, of additions it is within gamma(n - 2) of
+      its exact value, relative; a zero sum stays exactly zero. Dividing
+      by the cluster's size rounds once more, so a and each cluster's
+      mean, and so b, their minimum, are within e = gamma(n + 1), relative.
+    - No sum of nonnegative terms rounds to zero, so which rows score
+      (not alone in their cluster, a or b above 0) does not depend on
+      the order, and where a or b is 0, s is exactly 1 or -1 in every
+      order. Otherwise s = (b - a) / max(a, b) is f(ln b - ln a) with
+      |f'| <= 1, so the errors in a and b move s by at most 2e / (1 - e).
+      The subtraction and the division round twice, gamma(2), as
+      |s| <= 1.
+    - The mean adds at most n terms of magnitude at most 1, in row order,
+      within gamma(n - 1) * n, then divides by n: u * (1 + gamma(n - 1)).
+
+    B = 2e / (1 - e) + gamma(2) + gamma(n - 1) + u * (1 + gamma(n - 1)),
+    about 3 * n * u. Nothing underflows: a distance is 0 or at least
+    sqrt(2**-1074), so a and b are 0 or normal floats; a subnormal s(i)
+    is off by at most 2**-1075. That and B's own rounding fit in the
+    slack of about 4u left by taking gamma(n + 1) where gamma(n - 1)
+    holds."""
+    u = 2.0**-53
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    e = gamma(n + 1)
+    return 2 * e / (1 - e) + gamma(2) + gamma(n - 1) + u * (1 + gamma(n - 1))
 
 
 def select_k(ds, cfg):
     """Auto-k mode: fit every k in [2, k_max] with the same seed and keep
-    the model with the highest mean silhouette, ties to the smallest k."""
+    the model with the highest mean silhouette (as `silhouette_means`
+    gives it), ties to the smallest k.
+
+    A single candidate is kept unscored. Otherwise the choice is made
+    from sums kept per joint cell (`_joint_scores`) while there are at
+    most 4 * sum(k) cells. Every score there, and every score that
+    `silhouette_means` gives, lies within B (`_score_bound`) of the same
+    score in exact arithmetic, so when the best joint score beats every
+    other by more than 4B, `silhouette_means` would choose the same k.
+    Otherwise (more cells, a margin of 4B or less, every tie and every
+    non-finite score) `silhouette_means` scores the models and `max`
+    chooses. No joint score leaves this function."""
     n = len(ds.rows)
     if n < 2:
         raise TooFewRows("auto-k needs at least 2 rows")
@@ -360,7 +464,23 @@ def select_k(ds, cfg):
         kmeans(ds, KMeansConfig(k=k, max_iterations=cfg.max_iterations, seed=cfg.seed))
         for k in range(2, cfg.k_max + 1)
     ]
-    scores = silhouette_means(ds, models)
-    # max() keeps the first of equal scores: ties go to the smallest k
-    best = max(range(len(models)), key=scores.__getitem__)
+    best = _certified_best(ds, models)
+    if best is None:
+        scores = silhouette_means(ds, models)
+        # max() keeps the first of equal scores: ties go to the smallest k
+        best = max(range(len(models)), key=scores.__getitem__)
     return models[best].chosen_k, models[best]
+
+
+def _certified_best(ds, models):
+    """The index of the model whose joint score beats every other by more
+    than 4 * _score_bound(n), 0 for a single model, else None: too many
+    joint cells, a tie, a narrower margin or a score that is not finite."""
+    if len(models) == 1:
+        return 0
+    scores = _joint_scores(ds, models)
+    if scores is None or not all(map(math.isfinite, scores)):
+        return None
+    best = max(range(len(scores)), key=scores.__getitem__)
+    margin = 4 * _score_bound(len(ds.rows))
+    return best if all(scores[best] - score > margin for m, score in enumerate(scores) if m != best) else None

@@ -1,7 +1,22 @@
-"""The missing marker and the exceptions every module shares."""
+"""The missing marker, the one range rule and the exceptions every module
+shares."""
+
+import math
 
 # An absent cell or field. Writers print it as a bare "?" in CSV and ARFF.
 MISSING = None
+
+
+def number_range(name, cells):
+    """(lo, hi) over the non-missing cells of number column `name`, or
+    (0.0, 0.0) when there are none. A range wider than the largest float
+    (inf, or NaN from infinite cells) is MalformedInput; an int range of
+    any size passes."""
+    present = [v for v in cells if v is not MISSING]
+    lo, hi = (min(present), max(present)) if present else (0.0, 0.0)
+    if not hi - lo < math.inf:
+        raise MalformedInput(f"column {name!r}: range {lo!r} to {hi!r} overflows a float")
+    return lo, hi
 
 
 class MailMinerError(Exception):

@@ -24,6 +24,7 @@ from .core import (
     NotNumeric,
     RaggedRow,
     UnknownAttribute,
+    number_range,
 )
 from .rng import Lcg
 
@@ -469,8 +470,8 @@ def filter_discretize(ds, name, n_bins):
     """Replace a numeric/date column with equal-width bins b1..bN.
 
     Bins are half-open except the last, which is closed so the maximum
-    lands in bN. Missing cells stay missing. A range wider than the
-    largest float is MalformedInput, before any row is binned.
+    lands in bN. Missing cells stay missing. A range that overflows a
+    float (`number_range`) is MalformedInput, before any row is binned.
     """
     [j] = ds.column_indices([name])
     spec = ds.schema[j]
@@ -479,11 +480,8 @@ def filter_discretize(ds, name, n_bins):
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     labels = tuple(f"b{i + 1}" for i in range(n_bins))
-    values = [row[j] for row in ds.rows if row[j] is not MISSING]
-    lo, hi = (min(values), max(values)) if values else (0.0, 0.0)
+    lo, hi = number_range(name, [row[j] for row in ds.rows])
     width = (hi - lo) / n_bins
-    if math.isinf(width):
-        raise MalformedInput(f"column {name!r}: range {lo!r} to {hi!r} overflows a float")
 
     schema = list(ds.schema)
     schema[j] = AttributeSpec(name, "nominal", labels)

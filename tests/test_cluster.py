@@ -5,12 +5,13 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mailminer import (
     MISSING,
     ArityMismatch,
     AttributeSpec,
+    ClusterModel,
     Dataset,
     EmptyDataset,
     KMeansConfig,
@@ -504,6 +505,110 @@ def test_select_k_tie_goes_to_smallest_k():
     models = [kmeans(ds, KMeansConfig(k=k, seed=cfg.seed)) for k in (2, 3, 4)]
     assert silhouette_means(ds, models) == [1.0, 1.0, 1.0]
     assert select_k(ds, cfg) == (2, models[0]) == _brute_force_select_k(ds, cfg)
+
+
+@st.composite
+def _select_k_cases(draw):
+    """(ds, k_max, seed): k_max from 2 to 10, missing cells, duplicate rows,
+    and, in about half the cases, number cells rounded to a few values, so
+    that models tie."""
+    k_max = draw(st.integers(2, 10))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ds = random_dataset(rnd, max_rows=k_max + 24, min_rows=k_max)
+    rows = ds.rows + [list(ds.rows[i]) for i in draw(st.lists(st.integers(0, len(ds.rows) - 1), max_size=12))]
+    if draw(st.booleans()):
+        rows = [[round(c / 500.0) if isinstance(c, float) else c for c in row] for row in rows]
+    return Dataset(list(ds.schema), draw(st.permutations(rows))), k_max, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None)
+@given(_select_k_cases())
+def test_select_k_picks_what_max_over_silhouette_means_picks(case):
+    ds, k_max, seed = case
+    models = [kmeans(ds, KMeansConfig(k=k, seed=seed)) for k in range(2, k_max + 1)]
+    scores = silhouette_means(ds, models)
+    best = max(range(len(models)), key=scores.__getitem__)  # ties to the smallest k
+    assert select_k(ds, KMeansConfig(k_max=k_max, seed=seed)) == (best + 2, models[best])
+
+
+def _spy_on_silhouette_means(monkeypatch):
+    """The model counts of each call select_k makes to silhouette_means."""
+    calls = []
+
+    def spy(ds, models):
+        calls.append(len(models))
+        return silhouette_means(ds, models)
+
+    monkeypatch.setattr(cluster, "silhouette_means", spy)
+    return calls
+
+
+def test_select_k_falls_back_to_silhouette_means_on_a_tie(monkeypatch):
+    # k = 2 and k = 3 give the same assignment, so the same score: no
+    # margin certifies either, and silhouette_means decides
+    ds = _numeric_ds([0, 0, 0, 10, 10, 10])
+    cfg = KMeansConfig(k_max=3, seed=4)
+    models = [kmeans(ds, KMeansConfig(k=k, seed=4)) for k in (2, 3)]
+    assert models[0].assignment == models[1].assignment
+    calls = _spy_on_silhouette_means(monkeypatch)
+    assert select_k(ds, cfg) == (2, models[0])
+    assert calls == [2]
+
+
+def test_select_k_chooses_two_separated_groups_without_silhouette_means(monkeypatch):
+    ds = _numeric_ds([0, 1, 2, 100, 101, 102, 103])
+    cfg = KMeansConfig(k_max=4, seed=1)
+    expected = _brute_force_select_k(ds, cfg)
+    calls = _spy_on_silhouette_means(monkeypatch)
+    assert select_k(ds, cfg) == expected
+    assert expected[0] == 2 and sorted(expected[1].sizes) == [3, 4]
+    # a single candidate is not scored at all
+    assert select_k(ds, KMeansConfig(k_max=2, seed=1)) == expected
+    assert calls == []
+
+
+def _modular_models(n, ks):
+    """Models of k in ks that put row i in cluster i % k: lcm(ks) joint cells."""
+    models = []
+    for k in ks:
+        assignment = [i % k for i in range(n)]
+        models.append(ClusterModel([[0.0]] * k, assignment, 1, 0.0, [assignment.count(c) for c in range(k)], k))
+    return models
+
+
+def test_joint_cells_are_capped_at_four_times_the_sum_of_k(monkeypatch):
+    # k = 2..5 give lcm 60 joint cells on 60 rows or more, against
+    # 4 * 14 = 56: select_k scores those with silhouette_means
+    rnd = random.Random(61)
+    for n, joint in ((56, True), (60, False)):
+        ds = _numeric_ds([rnd.uniform(0, 1) for _ in range(n)])
+        models = _modular_models(n, range(2, 6))
+        scores = cluster._joint_scores(ds, models)
+        assert (scores is not None) == joint
+        monkeypatch.setattr(cluster, "kmeans", lambda ds, cfg: models[cfg.k - 2])
+        calls = _spy_on_silhouette_means(monkeypatch)
+        exact = silhouette_means(ds, models)
+        best = max(range(4), key=exact.__getitem__)
+        assert select_k(ds, KMeansConfig(k_max=5)) == (best + 2, models[best])
+        assert calls == ([] if joint else [4])
+
+
+def test_score_bound_is_about_three_n_u():
+    u = 2.0**-53
+    for n in (2, 800, 5000, 10**6):
+        assert 3 * n * u < cluster._score_bound(n) < (3 * n + 8) * u
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_joint_scores_lie_within_twice_the_bound_of_silhouette_means(seed):
+    rnd = random.Random(seed)
+    ds = random_dataset(rnd, max_rows=300, min_rows=60)
+    ks = [rnd.randint(1, 12) for _ in range(rnd.randint(1, 9))]
+    models = [kmeans(ds, KMeansConfig(k=k, seed=seed)) for k in ks]
+    joint = cluster._joint_scores(ds, models)
+    bound = 2 * cluster._score_bound(len(ds.rows))
+    for j, e in zip(joint, silhouette_means(ds, models)):
+        assert abs(j - e) <= bound
 
 
 def test_determinism_same_seed_same_model():

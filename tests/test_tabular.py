@@ -1,5 +1,6 @@
 import copy
 import io
+import math
 import os
 import random
 import stat
@@ -20,6 +21,7 @@ from mailminer import (
     NotNumeric,
     RaggedRow,
     UnknownAttribute,
+    attribute_ranges,
     duplicate_profile,
     filter_discretize,
     filter_randomize,
@@ -495,6 +497,21 @@ def test_filter_discretize_refuses_a_range_that_overflows_a_float():
         filter_discretize(ds, "x", 3)
     ds = Dataset([AttributeSpec("x", "numeric")], [[-8e307], [0.0], [8e307]])  # a finite range keeps its bins
     assert [r[0] for r in filter_discretize(ds, "x", 3).rows] == ["b1", "b2", "b3"]
+
+
+@pytest.mark.parametrize("cells, shown", [
+    ([-1e308, 0.0, 1e308], "-1e+308 to 1e+308"),
+    ([-math.inf, 1.0], "-inf to 1.0"),
+    # inf - inf is NaN: filter_discretize used to raise a bare ValueError,
+    # "cannot convert float NaN to integer", on this column
+    ([math.inf, math.inf], "inf to inf"),
+])
+def test_one_range_rule_for_discretize_and_cluster(cells, shown):
+    ds = Dataset([AttributeSpec("x", "numeric")], [[c] for c in cells])
+    for call in (lambda: filter_discretize(ds, "x", 3), lambda: attribute_ranges(ds)):
+        with pytest.raises(MalformedInput) as caught:
+            call()
+        assert str(caught.value) == f"column 'x': range {shown} overflows a float"
 
 
 def test_duplicate_profile_all_rows_equal():
