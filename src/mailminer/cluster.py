@@ -2,39 +2,20 @@
 
 `attribute_ranges` is the one place here that reads the column kinds:
 each number column (`AttributeSpec.is_number`) gets its range, each
-other column None.
-Distance is the Euclidean combination of per-attribute differences:
-|x - c| / range for numeric/date cells (0 for a constant column), 0 on
-match and 1 on mismatch for the rest, and 1 if either side is missing.
-Centroids carry the mean of a ranged column and the mode of the rest.
+other column None. Distance is the Euclidean combination of per-column
+terms: |x - c| / range for a number column (0 for a constant one), 0 on
+match and 1 on mismatch for a label column, and 1 if either cell is
+missing. Centroids carry the mean of a ranged column and the mode of
+the rest.
 
-Every distance is generated code, made and kept per set of ranges from
-one term template with the columns unrolled: `row_kernel(ranges)`, one
-row against many, the assignment pass and the silhouette's tile pass.
-Their bits equal the generic per-pair loop's, which sums 0.0 and one float
-term per column, left to right, before the sqrt; the generated sum
-starts at the first term, never -0.0, so 0.0 + term is that term. A
-missing cell adds 1.0, a label column 1.0 or 0.0, a zero range 0.0
-(decided when the code is made), and any other range the quotient
-(x - c) / range computed once and squared, which is |x - c| / range
-squared to the bit. The assignment pass takes up to CHUNK centroids: it
-unpacks each row once and keeps its nearest centroid and distance over
-them, and a larger k runs several passes, each continuing the last. The
-silhouette keeps each row's sums to every cluster of every model; one
-pass per TILE rows computes the tile's own pairs, then each tile row's
-distance to each later row, once, adding it to both rows' sums in
-ascending row order: O(n^2) distances, O(n*sum(k)) memory.
-
-`select_k` chooses by a second, private path. Each row's joint cell is
-the tuple of its labels in all the candidate models; while there are at
-most 4 * sum(k) such cells, the tile pass runs once with the cells as
-clusters, so a pair costs two additions however many models there are,
-and each row is scored as soon as its sums are final. Those sums are
-added in another order, so their scores are not output: they only
-choose, and only when the best beats every other by more than 4B, B
-being an a-priori bound on any order's rounding error (`_score_bound`).
-Any other case, ties and non-finite scores included, is scored by
-`silhouette_means` and chosen by `max`, so the choice is the same.
+Every distance is generated code in two shapes, the assignment pass and
+the silhouette's tile pass (`_generate`), whose bits equal the generic
+per-pair loop's: 0.0 plus one float term per column, left to right,
+then the sqrt. The silhouette reads label cells as int codes
+(`_pack`) and keeps each row's sums to every cluster of every
+model: O(n^2) distances, O(n * sum(k)) memory. `select_k` chooses from
+sums kept per joint cell (`_joint_scores`) where they certify the
+choice that `silhouette_means`'s scores make, and from those otherwise.
 """
 
 import math
@@ -42,14 +23,12 @@ import operator
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
 
 from .core import MISSING, ArityMismatch, EmptyDataset, TooFewRows, number_range
 from .rng import Lcg
 
 
-class KMeansConfig(namedtuple("KMeansConfig", "k k_max max_iterations seed", defaults=(2, 2, 100, 0))):
-    __slots__ = ()
+KMeansConfig = namedtuple("KMeansConfig", "k k_max max_iterations seed", defaults=(2, 2, 100, 0))
 
 
 @dataclass
@@ -94,51 +73,46 @@ CHUNK = 8
 TILE = 4
 
 
-def row_kernel(ranges):
-    """kernel(row, rows) -> [distance(row, other, ranges) for other in rows],
-    generated from column indices and fixed templates only: the ranges are
-    bound by name (R0, R1, ...), and no cell or range value ever reaches
-    the source. Each term is a float, so every addition is float + float;
-    whether the left row's cell is missing is tested once per call. One
-    kernel is kept per set of ranges; callers check arity."""
-    return _generate(None, *ranges)
-
-
 # typed: an int range and an equal float range divide differently
 @lru_cache(maxsize=64, typed=True)
 def _generate(shape, *ranges):
-    """The row kernel (shape None), the assignment pass (("nearest", count,
-    first)) or the silhouette's tile pass (("tile", models, tile rows)).
+    """The assignment pass (shape ("nearest", count, first)) or the
+    silhouette's tile pass (("tile", models, tile rows)), kept per shape
+    and set of ranges, generated from column indices and fixed templates
+    only: ranges are bound by name (R0, R1, ...), and no cell or range
+    value reaches the source. Callers check arity.
+
+    A distance is the sqrt of its column terms (`_term`), each a float,
+    added left to right from the first, so its bits are the per-pair
+    loop's (0.0 + term is term). A pass takes its hoisted rows (the
+    centroids, or the tile) apart once per call, number cells' missing
+    tests included, so a label term is one comparison.
 
     nearest(centroids, base, rows, labels, best) -> the new (labels, best):
     each row, unpacked once, against count centroids labelled base,
     base + 1, ... in turn, keeping a strict minimum, so ties go to the
     lowest label. A first pass starts at its first centroid's distance (a
-    NaN one stays); a later pass continues the labels and best given.
+    NaN one stays); a later pass continues the labels and best given. A
+    centroid's missing label cell becomes an object() unequal to every
+    cell, as a row's missing one (None) is to every present cell.
 
-    tile_pass(tile, rest) takes lists of (row, sums, columns), where
-    columns holds the row's sum column in each model. Each pair of tile
-    rows (t ascending, then u > t ascending), then each rest row in order
-    with each tile row in order: their distance is added to each row's
-    sums at the other row's columns."""
+    tile_pass(tile, rest) takes lists of rows as `_pack` packs them, where
+    no label cell is missing. Each pair of tile rows (t ascending, then
+    u > t ascending: the one-row pass of t with the rows after it as its
+    rest), then each rest row in order with each tile row in order: their
+    distance is added to each row's sums at the other row's columns."""
     namespace = {f"R{j}": rng for j, rng in enumerate(ranges)}
-    namespace.update(M=MISSING, sqrt=math.sqrt)
+    namespace.update(M=MISSING, U=object(), LABELS=tuple(rng is None for rng in ranges), sqrt=math.sqrt)
 
     def names(r, count):  # [r0, r1, ...]
         return "[" + ", ".join(f"{r}{j}" for j in range(count)) + "]"
 
-    def missing(r):  # row r's missing tests, made once per call
-        return "".join(f"    m{r}{j} = {r}{j} is M\n" for j in range(len(ranges)))
+    def missing(r):  # hoisted row r's number cells' missing tests, made once per call
+        return "".join(f"    m{r}{j} = {r}{j} is M\n" for j, rng in enumerate(ranges) if rng is not None)
 
     def dist(r, o):
         return "sqrt(" + (" + ".join(_term(j, rng, r, o) for j, rng in enumerate(ranges)) or "0.0") + ")"
 
-    if shape is None:
-        exec(f"""def kernel(row, rows):
-    {names("a", len(ranges))} = row
-{missing("a")}    return [{dist("a", "b")} for {names("b", len(ranges))} in rows]
-""", namespace)
-        return namespace["kernel"]
     if shape[0] == "nearest":
         _, count, first = shape
 
@@ -148,7 +122,9 @@ def _generate(shape, *ranges):
             return f"        e = {dist(f'c{c}_', 'b')}\n        if e < d:\n            l, d = L{c}, e\n"
 
         exec(f"""def nearest(centroids, base, rows, labels, best):
-    [{", ".join(names(f"c{c}_", len(ranges)) for c in range(count))}] = centroids
+    [{", ".join(names(f"c{c}_", len(ranges)) for c in range(count))}] = [
+        [U if v is M and label else v for v, label in zip(cells, LABELS)] for cells in centroids
+    ]
 {"".join(missing(f"c{c}_") for c in range(count))}    {names("L", count)} = range(base, base + {count})
     new_labels, new_best = [], []
     label, keep = new_labels.append, new_best.append
@@ -160,38 +136,49 @@ def _generate(shape, *ranges):
         return namespace["nearest"]
     _, models, tile = shape
     rows = [f"t{t}_" for t in range(tile)]
+    if tile > 1:  # the tile's own pairs: each row against the tile rows after it
+        namespace["one"] = _generate(("tile", models, 1), *ranges)
 
     def entry(r):  # row r as packed: cells r{j}, sums s{r}, columns c{r}{m}
-        return f"[{names(r, len(ranges))}, s{r}, {names('c' + r, models)}]"
+        cells = [f"{r}{j}" for j in range(len(ranges))]
+        return "[" + ", ".join(cells + [f"s{r}"] + [f"c{r}{m}" for m in range(models)]) + "]"
 
-    def pair(r, o, indent):  # r's distance to o, added to both rows' sums
-        adds = "".join(f"{indent}s{r}[c{o}{m}] += d\n{indent}s{o}[c{r}{m}] += d\n" for m in range(models))
-        return f"{indent}d = {dist(r, o)}\n{adds}"
+    def pair(r):  # r's distance to rest row b, added to both rows' sums
+        adds = "".join(f"        s{r}[cb{m}] += d\n        sb[c{r}{m}] += d\n" for m in range(models))
+        return f"        d = {dist(r, 'b')}\n{adds}"
 
     exec(f"""def tile_pass(tile, rest):
     [{", ".join(map(entry, rows))}] = tile
-{"".join(map(missing, rows))}
-{"".join(pair(r, o, "    ") for r, o in combinations(rows, 2))}
+{"".join(map(missing, rows))}    for t in range(1, {tile}):
+        one(tile[t - 1 : t], tile[t:])
     for {entry("b")} in rest:
-{"".join(pair(r, "b", "        ") for r in rows)}""", namespace)
+{"".join(map(pair, rows))}""", namespace)
     return namespace["tile_pass"]
 
 
 def _term(j, rng, r, o):
-    """Column j's float term of the distance between row r (cells r{j},
-    m{r}{j} its missing test, made once per call) and row o (cells o{j}):
-    1.0 for a missing cell or a label mismatch."""
+    """Column j's float term of the distance between hoisted row r (cells
+    r{j}, m{r}{j} a number cell's missing test) and row o (cells o{j}):
+    1.0 for a missing cell or a label mismatch, 0.0 for a zero range, and
+    else the quotient made once and squared, |x - c| / range squared to
+    the bit."""
     a, b, m = f"{r}{j}", f"{o}{j}", f"m{r}{j}"
     if rng is None:
-        return f"(1.0 if {m} or {a} != {b} else 0.0)"
+        return f"(1.0 if {a} != {b} else 0.0)"
     if not rng:  # a zero range: present cells are 0.0 apart
         return f"(1.0 if {m} or {b} is M else 0.0)"
     return f"(1.0 if {m} or {b} is M else (q{j} := ({a} - {b}) / R{j}) * q{j})"
 
 
+def _distances(centroid, rows, ranges):
+    """[distance(centroid, row, ranges) for row in rows]: the assignment
+    pass with one centroid, which is on the left of every subtraction."""
+    return _generate(("nearest", 1, True), *ranges)([centroid], 0, rows, None, None)[1]
+
+
 def distance(row, other, ranges):
     _check_arity(len(ranges), [row, other])
-    return row_kernel(ranges)(row, [other])[0]
+    return _distances(row, [other], ranges)[0]
 
 
 def _centroid(members, ranges):
@@ -211,12 +198,12 @@ def _centroid(members, ranges):
     return cells
 
 
-def _sse(kernel, rows, centroids, assignment):
-    """One kernel call per cluster on its members, squares summed in row order."""
+def _sse(rows, centroids, assignment, ranges):
+    """One pass per cluster on its members, squares summed in row order."""
     squares = [0.0] * len(rows)
     for ci, centroid in enumerate(centroids):
         members = [i for i, cj in enumerate(assignment) if cj == ci]
-        for i, d in zip(members, kernel(centroid, [rows[i] for i in members])):
+        for i, d in zip(members, _distances(centroid, [rows[i] for i in members], ranges)):
             squares[i] = d ** 2
     return _left_sum(squares)
 
@@ -253,9 +240,7 @@ def kmeans(ds, cfg, initial_centroids=None):
         centroids = [list(rows[i]) for i in Lcg(cfg.seed).choose(n, k)]
 
     assignment = None
-    iterations = 0
-    while iterations < cfg.max_iterations:
-        iterations += 1
+    for iterations in range(1, cfg.max_iterations + 1):
         new_assignment = dists = None
         for start in range(0, k, CHUNK):
             chunk = centroids[start : start + CHUNK]
@@ -277,7 +262,7 @@ def kmeans(ds, cfg, initial_centroids=None):
         del members
     else:
         # capped: the last update moved the centroids
-        total_sse = _sse(row_kernel(ranges), rows, centroids, assignment)
+        total_sse = _sse(rows, centroids, assignment, ranges)
 
     sizes = [assignment.count(ci) for ci in range(k)]
     return ClusterModel(centroids, assignment, iterations, total_sse, sizes, k)
@@ -295,12 +280,27 @@ def sse(ds, model):
     ranges = attribute_ranges(ds)
     _check_arity(len(ranges), model.centroids)
     _check_assignment(len(ds.rows), model)
-    return _sse(row_kernel(ranges), ds.rows, model.centroids, model.assignment)
+    return _sse(ds.rows, model.centroids, model.assignment, ranges)
 
 
 def silhouette_mean(ds, model):
     """Mean silhouette coefficient of a fitted model."""
     return silhouette_means(ds, [model])[0]
+
+
+def _pack(rows, ranges, sums, columns):
+    """Each row as the tile pass takes it, one flat tuple: its cells, then
+    its list of sums, then its sum column in each model, the last two from
+    the iterables sums and columns. Label cells are int codes, given per
+    column in first-seen order, and a missing one gets a negative code
+    that no other cell has; number cells stay as they are. Equal cells
+    get equal codes, so every term and distance keeps its bits. Label
+    cells must be hashable, as `_centroid` already needs them to be."""
+    codes = [{} if rng is None else None for rng in ranges]
+    return [
+        (*(v if c is None else -1 - i if v is MISSING else c.setdefault(v, len(c)) for v, c in zip(row, codes)), s, *cols)
+        for i, (row, s, cols) in enumerate(zip(rows, sums, columns))
+    ]
 
 
 def silhouette_means(ds, models):
@@ -310,7 +310,8 @@ def silhouette_means(ds, models):
     and separation are both 0. One generated pass per TILE rows takes
     the pairs inside the tile, then the rows after it, each distance
     computed once and added to both rows' sums for every model: O(n^2)
-    distances, O(n * sum(k)) memory. Every sum takes its terms in
+    distances, O(n * sum(k)) memory. The pass reads the rows with their
+    label cells coded (`_pack`). Every sum takes its terms in
     ascending row order, whatever the tile or the number of models.
     """
     rows = ds.rows
@@ -326,12 +327,12 @@ def silhouette_means(ds, models):
         labels.append([width + ci for ci in model.assignment])
         start, width = width, width + len(model.centroids)
         spans.append((start, width))
-    packed = list(zip(rows, [[0.0] * width for _ in rows], zip(*labels)))
+    packed = _pack(rows, ranges, ([0.0] * width for _ in rows), zip(*labels))
     for start in range(0, n, TILE):
         tile = packed[start : start + TILE]
         _generate(("tile", len(models), len(tile)), *ranges)(tile, packed[start + TILE :])
     return [
-        _mean_silhouette(model.assignment, [sums[start:end] for _, sums, _ in packed])
+        _mean_silhouette(model.assignment, [entry[len(ranges)][start:end] for entry in packed])
         for model, (start, end) in zip(models, spans)
     ]
 
@@ -341,28 +342,20 @@ def _mean_silhouette(labels, sums):
     sizes = [0] * (max(labels, default=-1) + 1)
     for ci in labels:
         sizes[ci] += 1
-    total = 0.0
-    for row_sums, ci in zip(sums, labels):
-        score = _row_score(row_sums, ci, sizes)
-        if score is not None:
-            total += score
-    return total / len(labels) if labels else 0.0
+    return _left_sum(_row_score(s, ci, sizes) for s, ci in zip(sums, labels)) / len(labels) if labels else 0.0
 
 
 def _row_score(sums, ci, sizes):
     """s(i) of a row in cluster ci, from its distance sums to every cluster
-    and the clusters' sizes; None for a row that scores 0: one alone in
-    its cluster, one with no other cluster, or one whose a and b are both
-    0 (or whose max(a, b) is NaN)."""
-    if sizes[ci] <= 1:
-        return None
-    a = sums[ci] / (sizes[ci] - 1)
+    and the clusters' sizes; 0.0 for one alone in its cluster, one with no
+    other cluster, or one whose a and b are both 0 (or whose max(a, b) is
+    NaN). The scores are added from 0.0, which is never -0.0, so a 0.0
+    leaves a sum's bits as they were."""
     means = [s / m for cj, (s, m) in enumerate(zip(sums, sizes)) if m and cj != ci]
-    if not means:
-        return None
-    b = min(means)
-    denom = max(a, b)
-    return (b - a) / denom if denom > 0 else None
+    if sizes[ci] <= 1 or not means:
+        return 0.0
+    a, b = sums[ci] / (sizes[ci] - 1), min(means)
+    return (b - a) / max(a, b) if max(a, b) > 0 else 0.0
 
 
 def _joint_scores(ds, models):
@@ -372,13 +365,16 @@ def _joint_scores(ds, models):
     A row's joint cell is the tuple of its labels in all the models,
     numbered in first-seen order. The tile pass runs once, as for one
     model whose clusters are the J cells, so each pair costs one distance
-    and two additions. A tile's rows have their final sums once its pass
-    is done: each is scored then, a model's cluster sum being the sum of
-    its cells' sums, and its list of J sums let go. The sums are added in
-    another order than `silhouette_means` adds them, so a score may differ
-    from that one's in its last bits, by at most 2 * _score_bound(n); the
-    distances themselves are the same bits. The cap keeps memory at
-    O(n * sum(k)), as J can reach n."""
+    and two additions. It visits the rows, packed as `silhouette_means`
+    packs them, grouped by joint cell (a stable sort), so until its tile
+    comes a row is added to only at the cells up to its own, and holds
+    sums for those only. A tile's rows have their final sums once its
+    pass is done: each is scored then, a model's cluster sum being the
+    sum of its cells' sums, and its list of J sums let go. The sums are
+    added in another order than `silhouette_means` adds them, so a score
+    may differ from that one's in its last bits, by at most
+    2 * _score_bound(n); the distances themselves are the same bits. The
+    cap keeps memory at O(n * sum(k)), as J can reach n."""
     rows = ds.rows
     cells = {}
     joint = [cells.setdefault(key, len(cells)) for key in zip(*(model.assignment for model in models))]
@@ -388,19 +384,21 @@ def _joint_scores(ds, models):
     # per model: the cluster of each joint cell, and the clusters' sizes
     per_model = [(labels, model.sizes) for labels, model in zip(zip(*cells), models)]
     totals = [0.0] * len(models)
-    packed = list(zip(rows, [[0.0] * len(cells) for _ in rows], zip(joint)))
+    # a row gets sums up to its own cell; it is grown to J when its tile comes
+    packed = _pack(rows, ranges, ([0.0] * (cell + 1) for cell in joint), zip(joint))
+    packed.sort(key=lambda entry: entry[-1])
     for start in range(0, len(rows), TILE):
         tile = packed[start : start + TILE]
         packed[start : start + TILE] = [None] * len(tile)  # freed once scored
+        for *_, cell_sums, cell in tile:
+            cell_sums.extend([0.0] * (len(cells) - cell - 1))
         _generate(("tile", 1, len(tile)), *ranges)(tile, packed[start + TILE :])
-        for _, cell_sums, (cell,) in tile:
+        for *_, cell_sums, cell in tile:
             for m, (labels, sizes) in enumerate(per_model):
                 sums = [0.0] * len(sizes)
                 for ci, s in zip(labels, cell_sums):
                     sums[ci] += s
-                score = _row_score(sums, labels[cell], sizes)
-                if score is not None:
-                    totals[m] += score
+                totals[m] += _row_score(sums, labels[cell], sizes)
     return [total / len(rows) for total in totals]
 
 
@@ -423,7 +421,7 @@ def _score_bound(n):
       |f'| <= 1, so the errors in a and b move s by at most 2e / (1 - e).
       The subtraction and the division round twice, gamma(2), as
       |s| <= 1.
-    - The mean adds at most n terms of magnitude at most 1, in row order,
+    - The mean adds at most n terms of magnitude at most 1, in any order,
       within gamma(n - 1) * n, then divides by n: u * (1 + gamma(n - 1)).
 
     B = 2e / (1 - e) + gamma(2) + gamma(n - 1) + u * (1 + gamma(n - 1)),
@@ -476,11 +474,8 @@ def _certified_best(ds, models):
     """The index of the model whose joint score beats every other by more
     than 4 * _score_bound(n), 0 for a single model, else None: too many
     joint cells, a tie, a narrower margin or a score that is not finite."""
-    if len(models) == 1:
-        return 0
-    scores = _joint_scores(ds, models)
+    scores = _joint_scores(ds, models) if len(models) > 1 else [0.0]
     if scores is None or not all(map(math.isfinite, scores)):
         return None
-    best = max(range(len(scores)), key=scores.__getitem__)
-    margin = 4 * _score_bound(len(ds.rows))
-    return best if all(scores[best] - score > margin for m, score in enumerate(scores) if m != best) else None
+    *others, best = sorted(scores)
+    return scores.index(best) if not others or best - others[-1] > 4 * _score_bound(len(ds.rows)) else None

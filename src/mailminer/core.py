@@ -9,12 +9,16 @@ MISSING = None
 
 def number_range(name, cells):
     """(lo, hi) over the non-missing cells of number column `name`, or
-    (0.0, 0.0) when there are none. A range wider than the largest float
-    (inf, or NaN from infinite cells) is MalformedInput; an int range of
-    any size passes."""
+    (0.0, 0.0) when there are none. Cells or a range that do not fit a
+    float are MalformedInput: an infinite cell, a range wider than the
+    largest float, and an int cell or int range past it alike."""
     present = [v for v in cells if v is not MISSING]
     lo, hi = (min(present), max(present)) if present else (0.0, 0.0)
-    if not hi - lo < math.inf:
+    try:
+        fits = all(abs(float(v)) < math.inf for v in (lo, hi, hi - lo))
+    except OverflowError:  # an int past the largest float
+        fits = False
+    if not fits:
         raise MalformedInput(f"column {name!r}: range {lo!r} to {hi!r} overflows a float")
     return lo, hi
 

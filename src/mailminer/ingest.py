@@ -11,13 +11,14 @@ header value.
 
 import base64
 import binascii
-import email.utils
 import functools
 import os
 import re
 from collections import namedtuple
 from datetime import datetime, timedelta
 from pathlib import Path
+
+from email._parseaddr import AddressList, parsedate_tz
 
 from .core import MISSING, DirectoryUnreadable, MalformedInput
 
@@ -38,9 +39,6 @@ _MAX_NESTING = 64
 # piece non-empty and at most padded with spaces and tabs.
 _BARE_ADDR = r"[ \t]*[A-Za-z0-9._+-]+@[A-Za-z0-9.-]+[ \t]*"
 _BARE_LIST = re.compile(f"{_BARE_ADDR}(?:,{_BARE_ADDR})*")
-# The address parser, which reads as 3.10 does on every Python: its strict
-# reading (gh-102988) is turned off where the keyword exists.
-_getaddresses = functools.partial(email.utils.getaddresses, strict=False) if getattr(email.utils, "supports_strict_parsing", False) else email.utils.getaddresses
 # Distinct From values parsed per process; senders repeat.
 _ADDR_CACHE_SIZE = 4096
 _EPOCH = datetime(1970, 1, 1)
@@ -296,6 +294,10 @@ def _clean_addr(addr):
 # nothing needs decoding. Decoding first would let an encoded comma or
 # angle bracket split the value. On every Python the parser raises
 # RecursionError past about 500 levels of "(", and the value is no address.
+# The parser is email._parseaddr's AddressList, which email.utils'
+# getaddresses wraps: read directly, it reads as 3.10 reads on every Python,
+# as the strict reading (gh-102988) lives only in that wrapper, and scans
+# do not import email.utils, which loads socket and email.charset.
 def _addresses(value):
     """The cleaned addr-spec, or MISSING, of each address of a From or Cc
     value in order: both list addresses (RFC 5322 §3.6.2-3, RFC 6854).
@@ -308,7 +310,7 @@ def _addresses(value):
     if _BARE_LIST.fullmatch(value):
         return [piece.strip() for piece in value.lower().split(",")]
     try:
-        return [_clean_addr(addr) for _, addr in _getaddresses([value])]
+        return [_clean_addr(addr) for _, addr in AddressList(value).addresslist]
     except RecursionError:
         return []
 
@@ -324,7 +326,7 @@ def _timestamp(value):
     -0000, reads as UTC. MISSING for no date, no calendar day or time of
     day (30 Feb, 24:00, second 60, year 10000), or an offset of a day or
     more, which datetime's timezone refuses."""
-    t = email.utils.parsedate_tz(value)
+    t = parsedate_tz(value)
     if t is None or not -86400 < t[9] < 86400:
         return MISSING
     try:

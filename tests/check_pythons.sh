@@ -3,9 +3,10 @@
 # tier-1 suite under each of them that can import pytest and hypothesis.
 # Give each interpreter by its full path: pyenv's shims reject a version
 # that is not the selected one, and a bare name may find another install.
-# Debian's /usr/bin/python3.11 (3.11.2) is a patched build whose address
-# parser reads strictly by default (gh-102988), as 3.13's does; mailminer
-# reads addresses one way on every Python, and that build shows it holds.
+# Debian's /usr/bin/python3.11 (3.11.2) is a patched build whose
+# email.utils.getaddresses reads strictly by default (gh-102988), as 3.13's
+# does. mailminer reads addresses through email._parseaddr.AddressList, the
+# parser under that switch, so one way on every Python; that build shows it.
 #
 #     tests/check_pythons.sh ~/.pyenv/versions/3.10.13/bin/python3 \
 #         ~/.pyenv/versions/3.11.7/bin/python3 ~/.pyenv/versions/3.12.1/bin/python3 \

@@ -313,7 +313,7 @@ def left_sum(values):
 
 
 def oracle_distance(row, other, ranges):
-    """The generic per-pair loop; the reference for mailminer.cluster.row_kernel."""
+    """The generic per-pair loop; the reference for the passes mailminer.cluster generates."""
     assert len(row) == len(other) == len(ranges)
     total = 0.0
     for x, c, rng in zip(row, other, ranges):

@@ -12,7 +12,7 @@ and makes no trust decision on them.
 `_addresses` reads a From or Cc value made only of bare addr-specs
 without the parser; From is its first address and Cc the ones present.
 The oracle is the parser's reading of the whole value, through the
-call `_addresses` makes (`ingest._getaddresses`); a `hypothesis`
+call `_addresses` makes (`email._parseaddr.AddressList`); a `hypothesis`
 property and a seeded fuzz both compare the two, and From with the
 oracle's first address, on values biased to bare-list shapes (dots,
 "@@", empty pieces, blanks, "<>").
@@ -25,6 +25,7 @@ any interpreter with the package's (stdlib-only) imports can run them:
 
 import random
 import sys
+from email._parseaddr import AddressList
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,7 +33,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from mailminer import MISSING, extract_record, parse_eml
-from mailminer.ingest import _BARE_LIST, _addresses, _clean_addr, _from_addr, _getaddresses
+from mailminer.ingest import _BARE_LIST, _addresses, _clean_addr, _from_addr, parsedate_tz
 
 # (header lines, result)
 FROM_CASES = [
@@ -135,7 +136,7 @@ def oracle_addresses(value):
     """The parser's reading of a whole raw From or Cc value: each address
     cleaned as extract_record cleans it (MISSING if it is no addr-spec),
     in order."""
-    return [_clean_addr(addr) for _, addr in _getaddresses([value])]
+    return [_clean_addr(addr) for _, addr in AddressList(value).addresslist]
 
 
 def oracle_from(value):
@@ -241,6 +242,17 @@ def test_cc_addrs_matches_parser(value):
 @given(_CC_VALUES)
 def test_from_addr_is_the_first_address(value):
     assert _from_addr(value) == oracle_from(value)
+
+
+@given(_CC_VALUES)
+def test_the_oracle_is_getaddresses_without_its_strict_reading(value):
+    # ingest reads through AddressList, which email.utils.getaddresses wraps;
+    # where the wrapper has a strict reading, strict=False is AddressList
+    import email.utils
+
+    strict = {"strict": False} if getattr(email.utils, "supports_strict_parsing", False) else {}
+    assert email.utils.getaddresses([value], **strict) == AddressList(value).addresslist
+    assert email.utils.parsedate_tz is parsedate_tz
 
 
 def test_cc_fuzz_matches_parser():

@@ -425,7 +425,7 @@ print(code, *sorted(set(sys.modules) - before))
 """
 # What only `convert` and `top-senders` need. pathlib is here for
 # tabular's sake: it counts only when site had not loaded it already.
-_SCAN_ONLY = {"mailminer.ingest", "email.utils", "base64", "datetime", "pathlib"}
+_SCAN_ONLY = {"mailminer.ingest", "email._parseaddr", "base64", "datetime", "pathlib"}
 
 
 @pytest.mark.parametrize(
@@ -451,6 +451,21 @@ def test_each_subcommand_loads_only_its_own_modules(emails_csv, tmp_path, argv, 
     assert "mailminer.tabular" in modules
     assert loaded <= set(modules)
     assert not (_SCAN_ONLY | unloaded) & set(modules)
+
+
+@pytest.mark.parametrize("command", [["convert"], ["top-senders", "-n", "3"]], ids=["convert", "top-senders"])
+def test_a_scan_reads_addresses_without_email_utils(tmp_path, command):
+    # email._parseaddr is the parser; email.utils would load socket and
+    # email.charset besides
+    argv = [command[0], str(FIXTURE_CORPUS), *command[1:], "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(SRC), MAILMINER_LOG="quiet")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_MAIN, *argv], capture_output=True, env=env, check=True
+    )
+    code, *modules = proc.stdout.decode().splitlines()[-1].split()
+    assert code == "0"
+    assert {"mailminer.ingest", "email._parseaddr"} <= set(modules)
+    assert not {"email.utils", "socket"} & set(modules)
 
 
 @pytest.mark.parametrize("exc,code", [(OSError("disk full"), 3), (KeyboardInterrupt(), None)])

@@ -26,7 +26,7 @@ from mailminer import (
     sse,
 )
 from mailminer import cluster
-from mailminer.cluster import CHUNK, TILE, _generate, row_kernel
+from mailminer.cluster import CHUNK, TILE, _generate
 from mailminer.rng import Lcg
 
 from helpers import naive_silhouette, oracle_distance, oracle_lloyd, oracle_sse, random_dataset
@@ -79,18 +79,21 @@ def test_sse_with_wrong_width_centroids_is_arity_mismatch():
             sse(ds, replace(model, centroids=centers))
 
 
-def test_row_kernel_is_kept_per_ranges():
-    assert row_kernel([2.0, None]) is row_kernel((2.0, None))
-    assert row_kernel([2.0, None]) is not row_kernel([3.0, None])
-    # equal int and float ranges get their own kernels: (2**53 + 1) / 3 is
+_ONE_CENTROID = ("nearest", 1, True)
+
+
+def test_generated_pass_is_kept_per_ranges():
+    assert _generate(_ONE_CENTROID, 2.0, None) is _generate(_ONE_CENTROID, 2.0, None)
+    assert _generate(_ONE_CENTROID, 2.0, None) is not _generate(_ONE_CENTROID, 3.0, None)
+    # equal int and float ranges get their own passes: (2**53 + 1) / 3 is
     # exact as int division, while / 3.0 rounds the dividend to 2**53 first
     big = 2**53 + 1
     for rng in (3, 3.0):
         ranges = [rng, None]
-        assert row_kernel(ranges)([0, "a"], [[big, "a"]]) == [
+        assert cluster._distances([0, "a"], [[big, "a"]], ranges) == [
             oracle_distance([0, "a"], [big, "a"], ranges)
         ]
-    assert row_kernel([3, None]) is not row_kernel([3.0, None])
+    assert _generate(_ONE_CENTROID, 3, None) is not _generate(_ONE_CENTROID, 3.0, None)
 
 
 def test_attribute_ranges_refuses_a_range_that_overflows_a_float():
@@ -99,8 +102,12 @@ def test_attribute_ranges_refuses_a_range_that_overflows_a_float():
     with pytest.raises(MalformedInput, match=r"^column 'x': range -1e\+308 to 1e\+308 overflows a float$"):
         attribute_ranges(_numeric_ds([-1e308, 0, 1e308]))
     assert attribute_ranges(_numeric_ds([-8e307, 0, 8e307])) == [1.6e308]
-    ds = Dataset([AttributeSpec("x", "numeric")], [[0], [2**1100]])  # an int range needs no float
-    assert attribute_ranges(ds) == [2**1100]
+    # int cells and an int range must fit a float too: the centroid mean and
+    # the bins divide them as floats
+    for cells in ([0, 2**1100], [2**1100, 2**1100], [-(2**1023), 2**1023 - 1]):
+        with pytest.raises(MalformedInput, match=r"^column 'x': range .* overflows a float$"):
+            attribute_ranges(Dataset([AttributeSpec("x", "numeric")], [[c] for c in cells]))
+    assert attribute_ranges(Dataset([AttributeSpec("x", "numeric")], [[0], [2**1000]])) == [2**1000]
 
 
 def test_centroid_arity_mismatch():
@@ -196,15 +203,34 @@ def _kernel_cases(draw):
 
 @given(_kernel_cases())
 @example(([None, 4.0], ["z", 9.5], [["a", 1.0], [MISSING, 5.0], ["z", MISSING]]))
+# a centroid missing a label against rows missing it: both sides missing is 1.0
+@example(([None, 4.0], [MISSING, 9.5], [[MISSING, 1.0], ["z", 5.0], [MISSING, MISSING]]))
 @example(([0.0], [3.0], [[2.0], [MISSING]]))
 @example(([2.0, None], [1.0, "a"], []))
 def test_kernel_matches_oracle_distance(case):
+    # the assignment pass with one centroid, which sse and distance call
     ranges, centroid, rows = case
-    got = row_kernel(ranges)(centroid, rows)
+    got = cluster._distances(centroid, rows, ranges)
     assert [d.hex() for d in got] == [oracle_distance(centroid, r, ranges).hex() for r in rows]
-    assert [d.hex() for d in row_kernel(ranges)(centroid, [centroid])] == [
+    assert [d.hex() for d in cluster._distances(centroid, [centroid], ranges)] == [
         oracle_distance(centroid, centroid, ranges).hex()
     ]
+
+
+@given(_kernel_cases(), st.integers(1, TILE))
+@example(([None, 4.0], [MISSING, 9.5], [[MISSING, 1.0], [MISSING, 1.0], ["z", 5.0], [MISSING, MISSING]]), 2)
+def test_tile_pass_on_coded_rows_matches_oracle_distance(case, tile):
+    # each row its own cluster: a tile row's sums are its distances to the
+    # other rows, two rows missing the same label cell included, inside
+    # the tile and across it
+    ranges, centroid, rows = case
+    rows = [centroid] + rows
+    tile = min(tile, len(rows))
+    packed = cluster._pack(rows, ranges, [[0.0] * len(rows) for _ in rows], [(i,) for i in range(len(rows))])
+    _generate(("tile", 1, tile), *ranges)(packed[:tile], packed[tile:])
+    for t in range(tile):
+        expected = [0.0 if u == t else oracle_distance(rows[t], rows[u], ranges) for u in range(len(rows))]
+        assert [d.hex() for d in packed[t][len(ranges)]] == [d.hex() for d in expected]
 
 
 def _constants(code):
@@ -214,21 +240,21 @@ def _constants(code):
 
 def test_kernel_keeps_each_range_bound_by_name():
     # inf, nan and 0 take the kernel's odd paths (0/inf, nan quotients, a
-    # zero range decided when the kernel is made); 3 and 3.0 divide
+    # zero range decided when the pass is made); 3 and 3.0 divide
     # 2**53 + 1 differently. No range may be inlined as a constant.
     cells = [0, 1, 2**53 + 1, 2.5, -7.0, 1e308, -1e308, MISSING]
     rows = [[c, "a"] for c in cells]
     ranges = [math.inf, math.nan, 0, 3, 3.0]
     for rng in ranges:
-        kernel = row_kernel([rng, None])
         for x in cells:
-            assert [d.hex() for d in kernel([x, "b"], rows)] == [
+            assert [d.hex() for d in cluster._distances([x, "b"], rows, [rng, None])] == [
                 oracle_distance([x, "b"], row, [rng, None]).hex() for row in rows
             ]
-    kernel = row_kernel(ranges)
-    assert all(kernel.__globals__[f"R{j}"] is rng for j, rng in enumerate(ranges))
-    inlined = {(type(c), repr(c)) for c in _constants(kernel.__code__)}
-    assert not inlined & {(type(rng), repr(rng)) for rng in ranges}
+    for shape in (_ONE_CENTROID, ("nearest", 2, False), ("tile", 2, TILE)):
+        generated = _generate(shape, *ranges)
+        assert all(generated.__globals__[f"R{j}"] is rng for j, rng in enumerate(ranges))
+        inlined = {(type(c), repr(c)) for c in _constants(generated.__code__)}
+        assert not inlined & {(type(rng), repr(rng)) for rng in ranges}
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 100]))
@@ -320,9 +346,11 @@ def test_a_large_k_runs_assignment_passes_of_at_most_chunk_centroids(monkeypatch
     monkeypatch.setattr(cluster, "_generate", recording)
     ds = random_dataset(random.Random(5), max_rows=260, min_rows=240)
     model = kmeans(ds, KMeansConfig(k=200, max_iterations=2, seed=1))
-    # each of the two passes: a first chunk, then chunks that continue it
-    nearest = [shape for shape in shapes if shape and shape[0] == "nearest"]
-    assert nearest == [("nearest", min(CHUNK, 200 - start), start == 0) for start in range(0, 200, CHUNK)] * 2
+    # each of the two passes: a first chunk, then chunks that continue it;
+    # then the capped fit's SSE, a one-centroid pass per cluster
+    nearest = [shape for shape in shapes if shape[0] == "nearest"]
+    passes = [("nearest", min(CHUNK, 200 - start), start == 0) for start in range(0, 200, CHUNK)]
+    assert nearest == passes * 2 + [_ONE_CENTROID] * 200
     start = [ds.rows[i] for i in Lcg(1).choose(len(ds.rows), 200)]
     assignment, iterations, expected = oracle_lloyd(ds, start, 2)
     assert (model.assignment, model.iterations, model.sse.hex()) == (assignment, iterations, expected.hex())
@@ -450,6 +478,21 @@ def test_silhouette_means_match_naive_per_model():
                 naive_silhouette(ds, m.assignment, pd) for m in models
             ]
         assert silhouette_means(ds, []) == []
+
+
+@pytest.mark.parametrize("missing", [(1, 2), (1, 2 * TILE + 1)], ids=["one tile", "two tiles"])
+def test_silhouette_means_match_naive_with_two_rows_missing_a_label(missing):
+    # two missing label cells are 1.0 apart, like a missing and a present one,
+    # whether the pass meets them in one tile or in a tile and a later row
+    rnd = random.Random(53)
+    rows = [[rnd.choice([0.0, 1.0, 9.0, 10.0]), rnd.choice("ab")] for _ in range(3 * TILE)]
+    for i in missing:
+        rows[i][1] = MISSING
+    ds = Dataset([AttributeSpec("x", "numeric"), AttributeSpec("s", "text")], rows)
+    models = [kmeans(ds, KMeansConfig(k=k, seed=5)) for k in (2, 3, 4)]
+    pd = _pair_distance(ds)
+    assert pd(*missing) >= 1.0
+    assert silhouette_means(ds, models) == [naive_silhouette(ds, m.assignment, pd) for m in models]
 
 
 def test_an_assignment_that_does_not_fit_the_dataset_is_refused():
@@ -609,6 +652,30 @@ def test_joint_scores_lie_within_twice_the_bound_of_silhouette_means(seed):
     bound = 2 * cluster._score_bound(len(ds.rows))
     for j, e in zip(joint, silhouette_means(ds, models)):
         assert abs(j - e) <= bound
+
+
+def test_joint_scores_peak_below_silhouette_means():
+    # the joint pass keeps J sums a row, grown from its own cell when its tile
+    # comes, and lets a row's go once it is scored; the exact pass keeps
+    # sum(k) sums for every row to the end
+    rnd = random.Random(19)
+    ds = Dataset(
+        [AttributeSpec("t", "numeric"), AttributeSpec("from", "text"), AttributeSpec("h", "nominal", ("yes", "no"))],
+        [[rnd.choice([0.0, 5.0, 50.0]) + rnd.random(), f"u{rnd.randrange(20)}@x", rnd.choice(["yes", "no"])]
+         for _ in range(240)],
+    )
+    models = [kmeans(ds, KMeansConfig(k=k, seed=2)) for k in range(2, 7)]
+    peaks = []
+    for score in (silhouette_means, cluster._joint_scores):
+        assert score(ds, models) is not None  # warm-up: the passes are generated once
+        tracemalloc.start()
+        try:
+            score(ds, models)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    exact, joint = peaks
+    assert joint < exact, (joint, exact)
 
 
 def test_determinism_same_seed_same_model():

@@ -17,6 +17,7 @@ from mailminer import (
     AttributeSpec,
     Dataset,
     EmptyResultSchema,
+    KMeansConfig,
     MalformedInput,
     NotNumeric,
     RaggedRow,
@@ -27,6 +28,7 @@ from mailminer import (
     filter_randomize,
     filter_remove,
     filter_sample,
+    kmeans,
     read_csv,
     records_to_dataset,
     write_arff,
@@ -512,6 +514,17 @@ def test_one_range_rule_for_discretize_and_cluster(cells, shown):
         with pytest.raises(MalformedInput) as caught:
             call()
         assert str(caught.value) == f"column 'x': range {shown} overflows a float"
+
+
+def test_an_int_column_past_the_largest_float_is_refused_by_discretize_and_kmeans():
+    # both raised a bare OverflowError: discretize dividing the range into
+    # bins, kmeans summing the cells for a centroid
+    ds = Dataset([AttributeSpec("x", "numeric")], [[0], [10**400], [5]])
+    message = f"column 'x': range 0 to {10**400!r} overflows a float"
+    for call in (lambda: filter_discretize(ds, "x", 3), lambda: kmeans(ds, KMeansConfig(k=2))):
+        with pytest.raises(MalformedInput) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 def test_duplicate_profile_all_rows_equal():
