@@ -26,12 +26,12 @@ from .core import (
     RaggedRow,
     TooFewRows,
     UnknownAttribute,
+    _open_sink,
 )
 from .tabular import (
     CANONICAL_ATTRIBUTES,
     CANONICAL_HINTS,
     _checked_selection,
-    _open_sink,
     _streamed_dataset,
     duplicate_profile,
     filter_discretize,

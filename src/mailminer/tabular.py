@@ -7,14 +7,12 @@ fresh copy.
 """
 
 import contextlib
-import io
 import math
 import os
 import re
-import stat
-import tempfile
 from collections import Counter, namedtuple
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 
 from .core import (
@@ -24,6 +22,7 @@ from .core import (
     NotNumeric,
     RaggedRow,
     UnknownAttribute,
+    _open_sink,
     number_range,
 )
 from .rng import Lcg
@@ -164,59 +163,40 @@ def format_csv_row(values):
     return ",".join(format_csv_field(str(v)) for v in values)
 
 
-def _number_text(value):
-    return repr(float(value))
+# Records typed, and rows written, a batch at a time, one C-level call per
+# column: the largest power of two within the bound of the reader's memory
+# test, test_read_csv_holds_the_rows_and_one_line (64 exceeds it).
+_BATCH = 32
+_CHUNK = 8192  # characters read_csv reads from a stream at a time
+_MARK = {MISSING: "?"}  # _MARK.get(v, v): a missing cell as written
 
 
-@contextlib.contextmanager
-def _open_sink(sink):
-    """A stream, left open, or a path opened for UTF-8 text, as a context.
-
-    A path to a regular file is written to a temporary file in the same
-    directory and moved onto the target only when the body of the `with`
-    returns, so a failure part-way leaves the target as it was. A device
-    or FIFO (say /dev/null or /dev/stdout) is written in place: it cannot
-    be replaced.
-    """
-    if not isinstance(sink, (str, os.PathLike)):
-        yield sink
-        return
-    try:
-        mode = os.stat(sink).st_mode
-    except FileNotFoundError:  # a new file gets what open(sink, "w") gives
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = stat.S_IFREG | (0o666 & ~umask)
-    if not stat.S_ISREG(mode):
-        with open(sink, "w", encoding="utf-8", newline="") as f:
-            yield f
-        return
-    target = os.path.realpath(sink)  # through a symlink, as open() writes
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-    except OSError as exc:  # name the path given, as open() would, not the random one
-        raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from None
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as f:
-            os.chmod(tmp, stat.S_IMODE(mode))  # mkstemp made it 0600
-            yield f
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+def _number_column(cells):
+    return ["?" if v is MISSING else repr(float(v)) for v in cells]
 
 
-def _write_rows(f, ds, nominal_text, text_text):
-    """One line per row: numbers by repr, nominal and text cells by their
-    own function, missing cells as a bare "?". ds.rows is read once, in
-    order, so it may be a generator."""
-    formats = [
-        _number_text if spec.is_number else nominal_text if spec.kind == "nominal" else text_text
-        for spec in ds.schema
-    ]
-    for row in ds.rows:
-        f.write(",".join(["?" if v is MISSING else fmt(v) for v, fmt in zip(row, formats)]) + "\n")
+def _csv_column(cells):
+    """A label column's CSV fields: the cells themselves, unless one is a
+    literal "?" or their join needs quoting."""
+    joined = "".join(filter(None, cells))
+    if "?" in cells or format_csv_field(joined) != joined:
+        return ["?" if v is MISSING else format_csv_field(v) for v in cells]
+    return list(map(_MARK.get, cells, cells))
+
+
+def _write_rows(f, ds, nominal_column, text_column):
+    """One line per row, missing cells as a bare "?", written _BATCH rows
+    at a time with one call per column: numbers by repr, nominal and text
+    columns by their own function. A batch with a row whose length is not
+    the schema's goes a row at a time, each cut to the shorter of the two.
+    ds.rows is read once, in order, so it may be a generator."""
+    formats = [_number_column if s.is_number else nominal_column if s.kind == "nominal" else text_column for s in ds.schema]
+    rows = iter(ds.rows)
+    while batch := list(islice(rows, _BATCH)):
+        whole = formats and set(map(len, batch)) == {len(formats)}
+        for part in [batch] if whole else [[row] for row in batch]:
+            columns = [fmt(cells) for fmt, cells in zip(formats, zip(*part))]
+            f.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def write_csv(ds, sink):
@@ -224,7 +204,7 @@ def write_csv(ds, sink):
     are a bare unquoted "?"."""
     with _open_sink(sink) as f:
         f.write(format_csv_row(ds.attribute_names()) + "\n")
-        _write_rows(f, ds, format_csv_field, format_csv_field)
+        _write_rows(f, ds, _csv_column, _csv_column)
 
 
 # One field per match: an optional quoted part ("" escapes a quote; an
@@ -284,34 +264,22 @@ def _hinted_spec(name, hint):
     raise ValueError(f"unknown kind hint for {name}: {hint!r}")
 
 
-def _cell_parser(spec):
-    """parse(value, value) -> cell, for one column's present cells; a bad
-    value raises ValueError naming the column. The value comes twice so
-    that a text column's parser can be its own table's dict.setdefault:
-    equal text cells come back as the first one read, as equal labels
-    come back as the domain's own string."""
-    def bad(value, what):
-        return ValueError(f"column {spec.name!r}: {what}: {value!r}")
-
-    def number(value, _):
-        try:
-            x = float(value)
-        except ValueError:
-            x = math.nan
-        if not math.isfinite(x):
-            raise bad(value, "not a finite number")
-        return x
-
-    # each label maps to the domain's own string
-    domain = {v: v for v in spec.nominal_domain}
-
-    def label(value, _):
-        cell = domain.get(value)
-        if cell is None:
-            raise bad(value, "not in the nominal domain")
-        return cell
-
-    return number if spec.is_number else label if spec.kind == "nominal" else {}.setdefault
+def _column_reader(spec):
+    """read(keys, fields) -> one column's cells for a batch of records, where
+    a key is its field, or None for a quoted "?"; a bad one raises. A label
+    column's table, seeded with "?" as missing, maps a label to its
+    domain's string and a text cell to the first equal one read."""
+    if spec.is_number:
+        def read(keys, _):
+            cells = [MISSING if v == "?" else float(v) for v in keys]
+            if all(map(math.isfinite, filter(None, cells))):
+                return cells
+            raise ValueError
+        return read
+    table = {None if v == "?" else v: v for v in spec.nominal_domain} | {"?": MISSING}
+    if spec.kind == "nominal":
+        return lambda keys, _: list(map(table.__getitem__, keys))
+    return lambda keys, fields: list(map(table.setdefault, keys, fields))
 
 
 def read_csv(source, kind_hints=None, relation_name="data"):
@@ -325,7 +293,7 @@ def read_csv(source, kind_hints=None, relation_name="data"):
 
     A path is read and decoded a line at a time; a file that is not UTF-8
     is MalformedInput naming the line of its first bad byte, whatever
-    else is wrong with it. A stream is read whole.
+    else is wrong with it. A stream is read a chunk at a time.
     """
     with _source_lines(source) as lines:
         try:
@@ -339,15 +307,26 @@ def read_csv(source, kind_hints=None, relation_name="data"):
 
 @contextlib.contextmanager
 def _source_lines(source):
-    """The lines of a CSV source, each with its LF, less a leading
-    byte-order mark (not part of the first header name): a path's are read
-    and decoded one at a time, a stream is read whole. newline="\n" ends a
-    line at LF only, so a bare CR stays inside its line."""
+    """The lines of a CSV source, each with its LF, less a leading byte-order
+    mark (not part of the first header name): a path's read and decoded one
+    at a time, a stream's cut from its chunks; a bare CR stays in its line."""
     if not isinstance(source, (str, os.PathLike)):
-        yield io.StringIO(source.read().removeprefix("\ufeff"), newline="\n")
+        yield _stream_lines(source)
         return
     with open(source, encoding="utf-8-sig", newline="\n") as f:  # utf-8-sig drops the mark
         yield f
+
+
+def _stream_lines(stream):
+    """A text stream's lines, the last maybe without its LF, cut from
+    chunks at least _CHUNK long and as long as the line they go on."""
+    head, chunk = "", stream.read(_CHUNK).removeprefix("\ufeff") or stream.read(_CHUNK)
+    while chunk:
+        *lines, head = (head + chunk).split("\n")
+        yield from (line + "\n" for line in lines)
+        chunk = stream.read(max(_CHUNK, len(head)))
+    if head:
+        yield head
 
 
 def _first_bad_line(path):
@@ -362,8 +341,8 @@ def _first_bad_line(path):
 
 
 def _read_records(records, kind_hints, relation_name):
-    """The Dataset of _csv_records' records; each is typed into its row as
-    it comes, so no parsed copy of the file is held."""
+    """The Dataset of _csv_records' records, typed _BATCH at a time; it
+    holds the rows, one batch and a table per label column."""
     first = next(records, None)
     if first is None:
         raise MalformedInput("empty CSV input: no header row")
@@ -374,19 +353,34 @@ def _read_records(records, kind_hints, relation_name):
         raise MalformedInput(f"line 1, column {repeated!r}: repeated header name")
     hints = dict(kind_hints or {})
     schema = [_hinted_spec(name, hints.get(name)) for name in header]
-    parsers = [_cell_parser(spec) for spec in schema]
+    readers = [_column_reader(spec) for spec in schema]
     rows = []
-    for number, fields, quoted in records:
-        if len(fields) != len(header):
-            raise RaggedRow(f"line {number}: {len(fields)} fields, header has {len(header)}")
-        try:
-            if quoted:  # a quoted "?" is text, not missing
-                rows.append([MISSING if v == "?" and not q else parse(v, v) for v, q, parse in zip(fields, quoted, parsers)])
-            else:
-                rows.append([MISSING if v == "?" else parse(v, v) for v, parse in zip(fields, parsers)])
-        except ValueError as exc:
-            raise MalformedInput(f"line {number}, {exc}") from None
+    while batch := list(islice(records, _BATCH)):
+        rows += _typed_rows(batch, readers, schema)
+        del batch  # not held while the next one is read
     return Dataset(schema, rows, relation_name=relation_name)
+
+
+def _typed_rows(batch, readers, schema):
+    """A batch of records typed one call per column. If a ragged record or
+    a bad cell stops that, the batch is read again record by record for
+    the first one, which is raised."""
+    numbers, fields, quoted = zip(*batch)
+    keys = fields
+    if any(quoted):  # a quoted "?" is text, not missing: its key is None
+        keys = [[None if q and v == "?" else v for v, q in zip(f, fq)] if fq else f for f, fq in zip(fields, quoted)]
+    if set(map(len, fields)) == {len(schema)}:
+        with contextlib.suppress(KeyError, TypeError, ValueError):
+            return list(map(list, zip(*[read(k, v) for read, k, v in zip(readers, zip(*keys), zip(*fields))])))
+    for number, record, record_keys in zip(numbers, fields, keys):
+        if len(record) != len(schema):
+            raise RaggedRow(f"line {number}: {len(record)} fields, header has {len(schema)}")
+        for read, spec, key, value in zip(readers, schema, record_keys, record):
+            try:
+                read([key], [value])
+            except (KeyError, TypeError, ValueError):
+                what = "not a finite number" if spec.is_number else "not in the nominal domain"
+                raise MalformedInput(f"line {number}, column {spec.name!r}: {what}: {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +401,13 @@ def _arff_quote(text):
 
 
 def _arff_token(text):
-    if text and all(c in _ARFF_SAFE for c in text) and text != "?":
+    if text and _ARFF_SAFE.issuperset(text) and text != "?":
         return text
     return _arff_quote(text)
+
+
+def _arff_column(fmt):
+    return lambda cells: ["?" if v is MISSING else fmt(v) for v in cells]
 
 
 def write_arff(ds, sink):
@@ -430,7 +428,7 @@ def write_arff(ds, sink):
                 kind = "string"
             f.write(f"@attribute {_arff_token(spec.name)} {kind}\n")
         f.write("@data\n")
-        _write_rows(f, ds, _arff_token, _arff_quote)
+        _write_rows(f, ds, _arff_column(_arff_token), _arff_column(_arff_quote))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import stat
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -37,7 +38,7 @@ from mailminer import (
 
 from mailminer import tabular
 from mailminer.analysis import SenderEntry, SenderReport, render_report
-from mailminer.tabular import CANONICAL_HINTS, CANONICAL_SCHEMA, _csv_records, format_csv_field
+from mailminer.tabular import CANONICAL_HINTS, CANONICAL_SCHEMA, _csv_records, format_csv_field, format_csv_row
 
 from helpers import (
     hints_for,
@@ -241,6 +242,41 @@ def test_csv_error_matches_the_whole_file_oracle(csv_path, text):
             assert expected is None, source
 
 
+# A fault, as a record under the header "n,t,l" (n numeric, l nominal yes
+# or no), and what read_csv raises for it on line {}, as the
+# record-at-a-time reader raised it.
+_FAULTS = {
+    "bad number": ("x,a,yes", "MalformedInput", "line {}, column 'n': not a finite number: 'x'"),
+    "infinite number": ("-inf,a,yes", "MalformedInput", "line {}, column 'n': not a finite number: '-inf'"),
+    "label outside the domain": ("1,a,maybe", "MalformedInput", "line {}, column 'l': not in the nominal domain: 'maybe'"),
+    'quoted "?" number': ('"?",a,no', "MalformedInput", "line {}, column 'n': not a finite number: '?'"),
+    "ragged record": ("1,a", "RaggedRow", "line {}: 2 fields, header has 3"),
+}
+
+
+@pytest.mark.parametrize("source", ["stream", "path"])
+@pytest.mark.parametrize("fault", list(_FAULTS))
+@pytest.mark.parametrize(
+    "where",
+    [[0], [tabular._BATCH - 1], [tabular._BATCH], [3, 9], [tabular._BATCH - 1, tabular._BATCH]],
+    ids=["first record", "last of a batch", "first of the next", "two in one batch", "two across batches"],
+)
+def test_the_first_fault_is_raised_wherever_batches_end(tmp_path, source, fault, where):
+    # good records, every fifth with a quoted multi-line text cell; the
+    # fault at the first index given, and the next fault in _FAULTS at the
+    # second (line = record index + 2)
+    names = list(_FAULTS)
+    records = [f'{i}.5,"a\nb",no' if i % 5 == 0 else f"{i},a,yes" for i in range(2 * tabular._BATCH + 5)]
+    for k, index in enumerate(where):
+        records[index] = _FAULTS[names[(names.index(fault) + k) % len(names)]][0]
+    text = "n,t,l\n" + "".join(record + "\n" for record in records)
+    _, kind, message = _FAULTS[fault]
+    line = where[0] + 2 + sum(1 for i in range(where[0]) if i % 5 == 0)  # the quoted cells' line breaks
+    with pytest.raises((MalformedInput, RaggedRow)) as caught:
+        read_csv(_source(text, source, tmp_path / "t.csv"), {"n": "numeric", "l": ("nominal", ("yes", "no"))})
+    assert (type(caught.value).__name__, str(caught.value)) == (kind, message.format(line))
+
+
 def test_nominal_cells_are_the_domain_strings():
     domain = ("yes", "no")
     lines = ["yes" if i % 3 else '"no"' if i % 2 else "?" for i in range(60)]
@@ -266,14 +302,11 @@ def _canonical_row(rnd, i):
     ]
 
 
-def test_read_csv_holds_the_rows_and_one_line(tmp_path):
-    # Above the rows it returns, a path's reader holds the buffer it reads
-    # lines from and, per text column, a table of the values seen so far
-    # (equal text cells share one object). Holding the decoded text of the
-    # whole file as well, as the reader once did, overruns the bound.
+def _canonical_csv(path):
+    """2000 canonical rows written to path, and the bytes of the tables a
+    reader of them keeps, one per text column."""
     rnd = random.Random(2024)
     ds = Dataset(list(CANONICAL_SCHEMA), [_canonical_row(rnd, i) for i in range(2000)], "emails")
-    path = tmp_path / "emails.csv"
     write_csv(ds, path)
     tables = 0
     for j, spec in enumerate(CANONICAL_SCHEMA):
@@ -283,14 +316,43 @@ def test_read_csv_holds_the_rows_and_one_line(tmp_path):
                 if row[j] is not MISSING:
                     seen[row[j]] = row[j]
             tables += sys.getsizeof(seen)
+    return ds, tables
+
+
+def _read_csv_held(source):
+    """read_csv's Dataset, and its peak traced memory above what it returns."""
     tracemalloc.start()
     try:
-        back = read_csv(path, CANONICAL_HINTS, relation_name="emails")
+        back = read_csv(source, CANONICAL_HINTS, relation_name="emails")
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return back, peak - retained
+
+
+def test_read_csv_holds_the_rows_and_one_line(tmp_path):
+    # Above the rows it returns, a path's reader holds the buffer it reads
+    # lines from, one batch of records and, per text column, a table of
+    # the values seen so far (equal text cells share one object). Holding
+    # the decoded text of the whole file as well, as the reader once did,
+    # overruns the bound, and so does a batch of 64 records.
+    path = tmp_path / "emails.csv"
+    ds, tables = _canonical_csv(path)
+    back, held = _read_csv_held(path)
     assert back == ds
-    assert peak - retained <= tables + 32_768, (peak, retained, tables, os.path.getsize(path))
+    assert held <= tables + 32_768, (held, tables, os.path.getsize(path))
+
+
+def test_read_csv_of_a_stream_holds_the_rows_and_one_chunk(tmp_path):
+    # A stream's lines are cut from chunks of tabular._CHUNK characters.
+    # Reading it whole into an io.StringIO, whose buffer takes 4 bytes a
+    # character, held about 780 KB here.
+    path = tmp_path / "emails.csv"
+    ds, tables = _canonical_csv(path)
+    stream = io.StringIO(path.read_text(encoding="utf-8"))
+    back, held = _read_csv_held(stream)
+    assert back == ds
+    assert held <= tables + 32_768, (held, tables, os.path.getsize(path))
 
 
 @pytest.mark.parametrize("source", ["stream", "path"])
@@ -527,6 +589,21 @@ def test_an_int_column_past_the_largest_float_is_refused_by_discretize_and_kmean
         assert str(caught.value) == message
 
 
+def test_an_int_past_what_repr_shows_is_named_by_its_bits():
+    # repr of an int of more than 4300 digits raises ValueError, which the
+    # refusal let out in place of MalformedInput
+    ds = Dataset([AttributeSpec("x", "numeric")], [[0], [10**5000], [5]])
+    message = "column 'x': range 0 to an int of 16610 bits overflows a float"
+    for call in (
+        lambda: attribute_ranges(ds),
+        lambda: filter_discretize(ds, "x", 3),
+        lambda: kmeans(ds, KMeansConfig(k=2)),
+    ):
+        with pytest.raises(MalformedInput) as caught:
+            call()
+        assert str(caught.value) == message
+
+
 def test_duplicate_profile_all_rows_equal():
     ds = _text_ds("a", "a", "a")
     profile = duplicate_profile(ds, ["v"])
@@ -588,7 +665,7 @@ _CODEC_NAMES = _CODEC_TEXT.filter(lambda s: not s.startswith("\ufeff"))
 
 
 @st.composite
-def _codec_datasets(draw):
+def _codec_datasets(draw, max_rows=6):
     """Any schema of the four kinds (one column up), zero rows up, missing
     cells in every kind, literal "?" text, and finite floats."""
     kinds = draw(st.lists(st.sampled_from(["numeric", "nominal", "text", "date"]), min_size=1, max_size=4))
@@ -603,7 +680,7 @@ def _codec_datasets(draw):
             schema.append(AttributeSpec(name, kind))
             values = _CODEC_TEXT if kind == "text" else st.floats(allow_nan=False, allow_infinity=False)
         cells.append(st.just(MISSING) | values)
-    rows = draw(st.lists(st.tuples(*cells).map(list), max_size=6))
+    rows = draw(st.lists(st.tuples(*cells).map(list), max_size=max_rows))
     return Dataset(schema, rows, draw(_CODEC_TEXT))
 
 
@@ -613,9 +690,75 @@ def test_csv_roundtrip_is_identity(ds):
     assert back == ds
 
 
+def _requoted_csv_text(ds, rnd):
+    """ds as CSV text as other writers give it: lines end in LF or CRLF,
+    and now and then a field is quoted that need not be (a present cell's
+    only: a quoted "?" is text)."""
+    lines = [format_csv_row(ds.attribute_names())]
+    for row in ds.rows:
+        fields = []
+        for spec, cell in zip(ds.schema, row):
+            text = "?" if cell is MISSING else repr(float(cell)) if spec.is_number else cell
+            field = format_csv_field(text) if cell is not MISSING else "?"
+            if field == text and cell is not MISSING and rnd.random() < 0.2:
+                field = '"' + text.replace('"', '""') + '"'
+            fields.append(field)
+        lines.append(",".join(fields))
+    return "".join(line + rnd.choice(["\n", "\r\n"]) for line in lines)
+
+
+def _oracle_rows(text, schema):
+    """The rows of CSV text as oracle_parse_csv_text reads it, typed."""
+    return [
+        [MISSING if v == "?" and not q else float(v) if spec.is_number else v for spec, (v, q) in zip(schema, fields)]
+        for fields in oracle_parse_csv_text(text)[1:]
+    ]
+
+
+# Up to 100 records typed and written in batches of 1, 2, 3 or the
+# module's, and streams cut into chunks of 1, 2, 5 or the module's
+# characters: batch ends fall before, after and (for chunks) inside quoted
+# multi-line records, among missing cells, bare and quoted "?", and text
+# cells with commas, quotes and CRs.
+@given(
+    ds=_codec_datasets(max_rows=100),
+    rnd=st.randoms(use_true_random=False),
+    batch=st.sampled_from([1, 2, 3, tabular._BATCH]),
+    chunk=st.sampled_from([1, 2, 5, tabular._CHUNK]),
+)
+@example(  # a literal "?" among plain cells, and a quoted multi-line cell in the next batch
+    ds=Dataset([AttributeSpec("t", "text"), AttributeSpec("n", "numeric")], [["a", 1.0], ["?", MISSING], ["b\nc", 2.0]]),
+    rnd=random.Random(0),
+    batch=2,
+    chunk=3,
+)
+def test_batches_read_back_what_was_written_and_what_the_oracle_reads(csv_path, ds, rnd, batch, chunk):
+    with mock.patch.object(tabular, "_BATCH", batch), mock.patch.object(tabular, "_CHUNK", chunk):
+        written = _csv_text(ds)
+        for text in (written, _requoted_csv_text(ds, rnd)):
+            for source in ("stream", "path"):
+                back = read_csv(_source(text, source, csv_path), hints_for(ds), relation_name=ds.relation_name)
+                assert back == ds, source
+                assert back.rows == _oracle_rows(text, ds.schema), source
+                for j, spec in enumerate(ds.schema):
+                    if spec.kind == "text":  # equal text cells are one object
+                        cells = [row[j] for row in back.rows if row[j] is not MISSING]
+                        assert len({id(v) for v in cells}) == len(set(cells))
+    assert written == _csv_text(ds)  # the same bytes whatever the batch
+
+
 @given(_codec_datasets())
 def test_arff_reads_back_to_the_dataset(ds):
     assert read_arff(_arff_text(ds)) == ds
+
+
+def test_a_row_of_another_length_is_written_cut_to_the_shorter():
+    # such a row is written alone, cut to its own length or the schema's;
+    # the rows around it are written as a batch is
+    schema = [AttributeSpec("n", "numeric"), AttributeSpec("t", "text")]
+    ds = Dataset(schema, [[1.0, "a"], [2.0], [3.0, "b", "extra"], [], [MISSING, "?"]])
+    assert _csv_text(ds) == 'n,t\n1.0,a\n2.0\n3.0,b\n\n?,"?"\n'
+    assert _arff_text(ds).split("@data\n")[1] == "1.0,'a'\n2.0\n3.0,'b'\n\n?,'?'\n"
 
 
 def test_arff_date_column_is_numeric_epoch_seconds():
