@@ -4,8 +4,8 @@ rounded percentages, top-sender rankings, and text/CSV/SVG rendering."""
 import math
 from collections import Counter, namedtuple
 
-from .core import MISSING, UnsupportedFormat, _open_sink
-from .tabular import DuplicateProfile, format_csv_row
+from .core import MISSING, UnsupportedFormat
+from .tabular import DuplicateProfile, _open_sink, format_csv_row
 
 UNKNOWN_SENDER = "(unknown)"
 

@@ -15,8 +15,8 @@ import os
 import sys
 
 # Only core and tabular load with the CLI. Each subcommand imports the rest
-# of what it runs (ingest, cluster, analysis) inside its function, so
-# `--help` and `filter` start without them.
+# of what it runs (ingest, cluster, analysis, filters) inside its function,
+# so `--help` starts without them.
 from .core import (
     DirectoryUnreadable,
     EmptyDataset,
@@ -26,18 +26,14 @@ from .core import (
     RaggedRow,
     TooFewRows,
     UnknownAttribute,
-    _open_sink,
 )
 from .tabular import (
     CANONICAL_ATTRIBUTES,
     CANONICAL_HINTS,
     _checked_selection,
+    _open_sink,
     _streamed_dataset,
     duplicate_profile,
-    filter_discretize,
-    filter_randomize,
-    filter_remove,
-    filter_sample,
     read_csv,
     write_arff,
     write_csv,
@@ -154,6 +150,8 @@ def cmd_top_senders(args):
 
 
 def cmd_filter(args):
+    from .filters import filter_discretize, filter_randomize, filter_remove, filter_sample
+
     hints = dict(CANONICAL_HINTS)
     discretize_target = None
     if args.discretize:

@@ -1,11 +1,7 @@
-"""The missing marker, the one range rule, the one path writer and the
-exceptions every module shares."""
+"""The missing marker, the one range rule and the exceptions every module
+shares."""
 
-import contextlib
 import math
-import os
-import stat
-import tempfile
 
 # An absent cell or field. Writers print it as a bare "?" in CSV and ARFF.
 MISSING = None
@@ -34,45 +30,6 @@ def _shown(cell):
         return repr(cell)
     except ValueError:
         return f"an int of {cell.bit_length()} bits"
-
-
-@contextlib.contextmanager
-def _open_sink(sink):
-    """A stream, left open, or a path opened for UTF-8 text, as a context.
-
-    A path to a regular file is written to a temporary file in the same
-    directory and moved onto the target only when the body of the `with`
-    returns, so a failure part-way leaves the target as it was. A device
-    or FIFO (say /dev/null or /dev/stdout) is written in place: it cannot
-    be replaced.
-    """
-    if not isinstance(sink, (str, os.PathLike)):
-        yield sink
-        return
-    try:
-        mode = os.stat(sink).st_mode
-    except FileNotFoundError:  # a new file gets what open(sink, "w") gives
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = stat.S_IFREG | (0o666 & ~umask)
-    if not stat.S_ISREG(mode):
-        with open(sink, "w", encoding="utf-8", newline="") as f:
-            yield f
-        return
-    target = os.path.realpath(sink)  # through a symlink, as open() writes
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-    except OSError as exc:  # name the path given, as open() would, not the random one
-        raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from None
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as f:
-            os.chmod(tmp, stat.S_IMODE(mode))  # mkstemp made it 0600
-            yield f
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
 
 
 class MailMinerError(Exception):

@@ -1,31 +1,23 @@
-"""Typed dataset container with CSV/ARFF serialization and filters.
+"""Typed dataset container with CSV/ARFF serialization.
 
 Cells are plain Python values: float for numeric/date columns, str for
 nominal/text columns, MISSING (None) for absent values, written as a
-bare "?". Datasets are treated as immutable; every filter returns a
-fresh copy.
+bare "?". Datasets are treated as immutable; every filter (`filters`)
+returns a fresh copy.
 """
 
 import contextlib
 import math
 import os
 import re
+import stat
+import tempfile
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 
-from .core import (
-    MISSING,
-    EmptyResultSchema,
-    MalformedInput,
-    NotNumeric,
-    RaggedRow,
-    UnknownAttribute,
-    _open_sink,
-    number_range,
-)
-from .rng import Lcg
+from .core import MISSING, MalformedInput, RaggedRow, UnknownAttribute
 
 KINDS = ("numeric", "nominal", "text", "date")
 
@@ -94,6 +86,15 @@ class Dataset:
 
 class DuplicateProfile(namedtuple("DuplicateProfile", "projection n_different n_identical")):
     __slots__ = ()
+
+
+def duplicate_profile(ds, projection):
+    """Count rows whose projected tuple is unique vs repeated; each name
+    must be a column, named once."""
+    idx = ds.column_indices(projection)
+    counts = Counter(tuple(row[i] for i in idx) for row in ds.rows)
+    n_identical = sum(c for c in counts.values() if c >= 2)
+    return DuplicateProfile(tuple(projection), ds.n_rows - n_identical, n_identical)
 
 
 # Each canonical attribute's cell of an EmailRecord.
@@ -171,8 +172,9 @@ _CHUNK = 8192  # characters read_csv reads from a stream at a time
 _MARK = {MISSING: "?"}  # _MARK.get(v, v): a missing cell as written
 
 
-def _number_column(cells):
-    return ["?" if v is MISSING else repr(float(v)) for v in cells]
+def _column(fmt):
+    """A column's fields: each cell through fmt, a missing one as "?"."""
+    return lambda cells: ["?" if v is MISSING else fmt(v) for v in cells]
 
 
 def _csv_column(cells):
@@ -184,17 +186,55 @@ def _csv_column(cells):
     return list(map(_MARK.get, cells, cells))
 
 
+@contextlib.contextmanager
+def _open_sink(sink):
+    """A stream, left open, or a path opened for UTF-8 text, as a context.
+
+    A path to a regular file is written to a temporary file in the same
+    directory and moved onto the target only when the body of the `with`
+    returns, so a failure part-way leaves the target as it was. A device
+    or FIFO (say /dev/null or /dev/stdout) is written in place: it cannot
+    be replaced.
+    """
+    if not isinstance(sink, (str, os.PathLike)):
+        yield sink
+        return
+    try:
+        mode = os.stat(sink).st_mode
+    except FileNotFoundError:  # a new file gets what open(sink, "w") gives
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
+        with open(sink, "w", encoding="utf-8", newline="") as f:
+            yield f
+        return
+    target = os.path.realpath(sink)  # through a symlink, as open() writes
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    except OSError as exc:  # name the path given, as open() would, not the random one
+        raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as f:
+            os.chmod(tmp, stat.S_IMODE(mode))  # mkstemp made it 0600
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_rows(f, ds, nominal_column, text_column):
-    """One line per row, missing cells as a bare "?", written _BATCH rows
-    at a time with one call per column: numbers by repr, nominal and text
-    columns by their own function. A batch with a row whose length is not
-    the schema's goes a row at a time, each cut to the shorter of the two.
-    ds.rows is read once, in order, so it may be a generator."""
-    formats = [_number_column if s.is_number else nominal_column if s.kind == "nominal" else text_column for s in ds.schema]
+    """One line per row, written _BATCH rows at a time with one call per
+    column: numbers by repr, nominal and text columns by their own
+    function. A row whose length is not the schema's is written alone,
+    cut to the shorter of the two. ds.rows is read once, in order, so it
+    may be a generator."""
+    formats = [_column(lambda v: repr(float(v))) if s.is_number else nominal_column if s.kind == "nominal" else text_column for s in ds.schema]
     rows = iter(ds.rows)
     while batch := list(islice(rows, _BATCH)):
-        whole = formats and set(map(len, batch)) == {len(formats)}
-        for part in [batch] if whole else [[row] for row in batch]:
+        for part in [batch] if formats and {len(formats)} == set(map(len, batch)) else zip(batch):
             columns = [fmt(cells) for fmt, cells in zip(formats, zip(*part))]
             f.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
@@ -341,8 +381,10 @@ def _first_bad_line(path):
 
 
 def _read_records(records, kind_hints, relation_name):
-    """The Dataset of _csv_records' records, typed _BATCH at a time; it
-    holds the rows, one batch and a table per label column."""
+    """The Dataset of _csv_records' records, typed _BATCH at a time with one
+    call per column; it holds the rows, one batch and a table per label
+    column. A batch that a ragged record or a bad cell stops is typed
+    again record by record, so the first fault in the file is raised."""
     first = next(records, None)
     if first is None:
         raise MalformedInput("empty CSV input: no header row")
@@ -362,25 +404,25 @@ def _read_records(records, kind_hints, relation_name):
 
 
 def _typed_rows(batch, readers, schema):
-    """A batch of records typed one call per column. If a ragged record or
-    a bad cell stops that, the batch is read again record by record for
-    the first one, which is raised."""
+    """A batch of records typed one call per column; if a ragged record or a
+    bad cell stops that, the first one is found record by record."""
     numbers, fields, quoted = zip(*batch)
-    keys = fields
-    if any(quoted):  # a quoted "?" is text, not missing: its key is None
-        keys = [[None if q and v == "?" else v for v, q in zip(f, fq)] if fq else f for f, fq in zip(fields, quoted)]
-    if set(map(len, fields)) == {len(schema)}:
-        with contextlib.suppress(KeyError, TypeError, ValueError):
-            return list(map(list, zip(*[read(k, v) for read, k, v in zip(readers, zip(*keys), zip(*fields))])))
-    for number, record, record_keys in zip(numbers, fields, keys):
-        if len(record) != len(schema):
-            raise RaggedRow(f"line {number}: {len(record)} fields, header has {len(schema)}")
-        for read, spec, key, value in zip(readers, schema, record_keys, record):
-            try:
-                read([key], [value])
-            except (KeyError, TypeError, ValueError):
-                what = "not a finite number" if spec.is_number else "not in the nominal domain"
-                raise MalformedInput(f"line {number}, column {spec.name!r}: {what}: {value!r}") from None
+    # a quoted "?" is text, not missing: its key is None
+    keys = [[None if q and v == "?" else v for v, q in zip(f, fq)] if fq else f for f, fq in zip(fields, quoted)]
+    try:  # strict: a ragged record stops the batch
+        columns = zip(readers, zip(*keys, strict=True), zip(*fields, strict=True), strict=True)
+        return list(map(list, zip(*[read(k, v) for read, k, v in columns])))
+    except (KeyError, TypeError, ValueError):
+        for number, record, record_keys in zip(numbers, fields, keys):
+            if len(record) != len(schema):
+                raise RaggedRow(f"line {number}: {len(record)} fields, header has {len(schema)}") from None
+            for read, spec, key, value in zip(readers, schema, record_keys, record):
+                try:
+                    read([key], [value])
+                except (KeyError, TypeError, ValueError):
+                    what = "not a finite number" if spec.is_number else "not in the nominal domain"
+                    raise MalformedInput(f"line {number}, column {spec.name!r}: {what}: {value!r}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +448,6 @@ def _arff_token(text):
     return _arff_quote(text)
 
 
-def _arff_column(fmt):
-    return lambda cells: ["?" if v is MISSING else fmt(v) for v in cells]
-
-
 def write_arff(ds, sink):
     """Write a dataset in ARFF: @relation, @attribute per column, @data.
 
@@ -428,75 +466,5 @@ def write_arff(ds, sink):
                 kind = "string"
             f.write(f"@attribute {_arff_token(spec.name)} {kind}\n")
         f.write("@data\n")
-        _write_rows(f, ds, _arff_column(_arff_token), _arff_column(_arff_quote))
+        _write_rows(f, ds, _column(_arff_token), _column(_arff_quote))
 
-
-# ---------------------------------------------------------------------------
-# Filters
-
-def filter_remove(ds, names):
-    """Drop the named columns (at least one, each named once); the rest
-    keep their order."""
-    drop = set(ds.column_indices(names))
-    keep = [i for i in range(ds.n_cols) if i not in drop]
-    if not keep:
-        raise EmptyResultSchema("remove would drop every column")
-    return Dataset(
-        [ds.schema[i] for i in keep],
-        [[row[i] for i in keep] for row in ds.rows],
-        ds.relation_name,
-    )
-
-
-def filter_sample(ds, fraction, seed):
-    """floor(fraction*n) rows without replacement, original order kept."""
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
-    m = math.floor(fraction * ds.n_rows)
-    chosen = sorted(Lcg(seed).choose(ds.n_rows, m))
-    return Dataset(list(ds.schema), [list(ds.rows[i]) for i in chosen], ds.relation_name)
-
-
-def filter_randomize(ds, seed):
-    """Seeded Fisher-Yates shuffle of the rows."""
-    rows = [list(r) for r in ds.rows]
-    Lcg(seed).shuffle(rows)
-    return Dataset(list(ds.schema), rows, ds.relation_name)
-
-
-def filter_discretize(ds, name, n_bins):
-    """Replace a numeric/date column with equal-width bins b1..bN.
-
-    Bins are half-open except the last, which is closed so the maximum
-    lands in bN. Missing cells stay missing. A range that overflows a
-    float (`number_range`) is MalformedInput, before any row is binned.
-    """
-    [j] = ds.column_indices([name])
-    spec = ds.schema[j]
-    if not spec.is_number:
-        raise NotNumeric(f"attribute {name!r} is {spec.kind}, not numeric")
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    labels = tuple(f"b{i + 1}" for i in range(n_bins))
-    lo, hi = number_range(name, [row[j] for row in ds.rows])
-    width = (hi - lo) / n_bins
-
-    schema = list(ds.schema)
-    schema[j] = AttributeSpec(name, "nominal", labels)
-    rows = []
-    for row in ds.rows:
-        new_row = list(row)
-        x = new_row[j]
-        if x is not MISSING:
-            new_row[j] = labels[0] if width == 0 else labels[min(int((x - lo) / width), n_bins - 1)]
-        rows.append(new_row)
-    return Dataset(schema, rows, ds.relation_name)
-
-
-def duplicate_profile(ds, projection):
-    """Count rows whose projected tuple is unique vs repeated; each name
-    must be a column, named once."""
-    idx = ds.column_indices(projection)
-    counts = Counter(tuple(row[i] for i in idx) for row in ds.rows)
-    n_identical = sum(c for c in counts.values() if c >= 2)
-    return DuplicateProfile(tuple(projection), ds.n_rows - n_identical, n_identical)

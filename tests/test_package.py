@@ -21,9 +21,9 @@ EXPORTS = {
     "ingest": ["EmailRecord", "RawEmail", "extract_record", "parse_eml", "scan_corpus"],
     "tabular": [
         "CANONICAL_ATTRIBUTES", "AttributeSpec", "Dataset", "DuplicateProfile", "duplicate_profile",
-        "filter_discretize", "filter_randomize", "filter_remove", "filter_sample", "read_csv",
-        "records_to_dataset", "write_arff", "write_csv",
+        "read_csv", "records_to_dataset", "write_arff", "write_csv",
     ],
+    "filters": ["filter_discretize", "filter_randomize", "filter_remove", "filter_sample"],
     "cluster": [
         "ClusterModel", "KMeansConfig", "attribute_ranges", "distance", "kmeans", "select_k",
         "silhouette_mean", "silhouette_means", "sse",
