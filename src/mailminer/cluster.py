@@ -13,9 +13,11 @@ the silhouette's tile pass (`_generate`), whose bits equal the generic
 per-pair loop's: 0.0 plus one float term per column, left to right,
 then the sqrt. The silhouette reads label cells as int codes
 (`_pack`) and keeps each row's sums to every cluster of every
-model: O(n^2) distances, O(n * sum(k)) memory. `select_k` chooses from
-sums kept per joint cell (`_joint_scores`) where they certify the
-choice that `silhouette_means`'s scores make, and from those otherwise.
+model: O(n^2) distances, O(n * sum(k)) memory. One loop (`_scores`)
+scores each row once its tile is done and lets its sums go, for the
+exact scores and for sums kept per joint cell (`_joint_scores`), from
+which `select_k` chooses where they certify the choice that
+`silhouette_means`'s scores make, and from those otherwise.
 """
 
 import math
@@ -24,7 +26,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .core import MISSING, ArityMismatch, EmptyDataset, TooFewRows, number_range
+from .core import MISSING, EmptyDataset, TooFewRows, _check_arity, number_range
 from .rng import Lcg
 
 
@@ -54,12 +56,6 @@ def attribute_ranges(ds):
         else:
             ranges.append(None)
     return ranges
-
-
-def _check_arity(width, rows):
-    for row in rows:
-        if len(row) != width:
-            raise ArityMismatch(f"row/centroid arity {len(row)} vs schema {width}")
 
 
 def _left_sum(values):
@@ -190,9 +186,7 @@ def _centroid(members, ranges):
             cells.append(MISSING)
         elif rng is not None:
             cells.append(_left_sum(present) / len(present))
-        else:
-            # Counter keeps first-seen order and max() keeps the first of
-            # equal counts, so ties go to the value seen first
+        else:  # Counter keeps first-seen order, max() the first of equal counts
             counts = Counter(present)
             cells.append(max(counts, key=counts.get))
     return cells
@@ -311,14 +305,12 @@ def silhouette_means(ds, models):
     the pairs inside the tile, then the rows after it, each distance
     computed once and added to both rows' sums for every model: O(n^2)
     distances, O(n * sum(k)) memory. The pass reads the rows with their
-    label cells coded (`_pack`). Every sum takes its terms in
-    ascending row order, whatever the tile or the number of models.
+    label cells coded (`_pack`). Every sum takes its terms in ascending
+    row order, whatever the tile or the number of models; each row is
+    scored once its tile is done (`_scores`).
     """
-    rows = ds.rows
-    n = len(rows)
+    n = len(ds.rows)
     ranges = attribute_ranges(ds)
-    if not models:
-        return []
     # model m's cluster c is sum column spans[m][0] + c; each row is packed
     # with its running sums to every column and its own column per model
     spans, labels, width = [], [], 0
@@ -327,22 +319,32 @@ def silhouette_means(ds, models):
         labels.append([width + ci for ci in model.assignment])
         start, width = width, width + len(model.centroids)
         spans.append((start, width))
-    packed = _pack(rows, ranges, ([0.0] * width for _ in rows), zip(*labels))
-    for start in range(0, n, TILE):
+    packed = _pack(ds.rows, ranges, ([0.0] * width for _ in ds.rows), zip(*labels))
+
+    def clusters(sums, *columns):
+        return [(sums[start:end], column - start) for (start, end), column in zip(spans, columns)]
+
+    return _scores(models, ranges, packed, width, len(models), clusters)
+
+
+def _scores(models, ranges, packed, width, tile_models, clusters):
+    """Each model's mean silhouette over the rows of packed (`_pack`, with
+    tile_models sum columns), by the tile pass TILE rows at a time. A tile's
+    rows are grown to width sums, passed, then, their sums final, scored
+    in order and let go; clusters(sums, *columns) gives per model a row's
+    sums to each cluster and its own. No rows give 0.0."""
+    sizes = [[model.assignment.count(ci) for ci in range(len(model.centroids))] for model in models]
+    totals = [0.0] * len(models)
+    for start in range(0, len(packed), TILE):
         tile = packed[start : start + TILE]
-        _generate(("tile", len(models), len(tile)), *ranges)(tile, packed[start + TILE :])
-    return [
-        _mean_silhouette(model.assignment, [entry[len(ranges)][start:end] for entry in packed])
-        for model, (start, end) in zip(models, spans)
-    ]
-
-
-def _mean_silhouette(labels, sums):
-    """Mean silhouette from each row's distance sums to every cluster."""
-    sizes = [0] * (max(labels, default=-1) + 1)
-    for ci in labels:
-        sizes[ci] += 1
-    return _left_sum(_row_score(s, ci, sizes) for s, ci in zip(sums, labels)) / len(labels) if labels else 0.0
+        packed[start : start + TILE] = [None] * len(tile)  # freed once scored
+        for entry in tile:
+            entry[len(ranges)].extend([0.0] * (width - len(entry[len(ranges)])))
+        _generate(("tile", tile_models, len(tile)), *ranges)(tile, packed[start + TILE :])
+        for entry in tile:
+            scored = clusters(*entry[len(ranges) :])
+            totals = [total + _row_score(*s, k_sizes) for total, s, k_sizes in zip(totals, scored, sizes)]
+    return [total / (len(packed) or 1) for total in totals]
 
 
 def _row_score(sums, ci, sizes):
@@ -368,38 +370,29 @@ def _joint_scores(ds, models):
     and two additions. It visits the rows, packed as `silhouette_means`
     packs them, grouped by joint cell (a stable sort), so until its tile
     comes a row is added to only at the cells up to its own, and holds
-    sums for those only. A tile's rows have their final sums once its
-    pass is done: each is scored then, a model's cluster sum being the
-    sum of its cells' sums, and its list of J sums let go. The sums are
-    added in another order than `silhouette_means` adds them, so a score
-    may differ from that one's in its last bits, by at most
+    sums for those only (`_scores` grows them to J). The sums are added
+    in another order than `silhouette_means` adds them, so a score may
+    differ from that one's in its last bits, by at most
     2 * _score_bound(n); the distances themselves are the same bits. The
     cap keeps memory at O(n * sum(k)), as J can reach n."""
-    rows = ds.rows
     cells = {}
     joint = [cells.setdefault(key, len(cells)) for key in zip(*(model.assignment for model in models))]
     if len(cells) > 4 * sum(len(model.centroids) for model in models):
         return None
     ranges = attribute_ranges(ds)
-    # per model: the cluster of each joint cell, and the clusters' sizes
-    per_model = [(labels, model.sizes) for labels, model in zip(zip(*cells), models)]
-    totals = [0.0] * len(models)
-    # a row gets sums up to its own cell; it is grown to J when its tile comes
-    packed = _pack(rows, ranges, ([0.0] * (cell + 1) for cell in joint), zip(joint))
+    # per model: the cluster of each joint cell, and the number of clusters
+    per_model = [(labels, len(model.centroids)) for labels, model in zip(zip(*cells), models)]
+
+    def clusters(cell_sums, cell):  # a cluster's sum is the sum of its cells' sums
+        for labels, k in per_model:
+            sums = [0.0] * k
+            for ci, s in zip(labels, cell_sums):
+                sums[ci] += s
+            yield sums, labels[cell]
+
+    packed = _pack(ds.rows, ranges, ([0.0] * (cell + 1) for cell in joint), zip(joint))
     packed.sort(key=lambda entry: entry[-1])
-    for start in range(0, len(rows), TILE):
-        tile = packed[start : start + TILE]
-        packed[start : start + TILE] = [None] * len(tile)  # freed once scored
-        for *_, cell_sums, cell in tile:
-            cell_sums.extend([0.0] * (len(cells) - cell - 1))
-        _generate(("tile", 1, len(tile)), *ranges)(tile, packed[start + TILE :])
-        for *_, cell_sums, cell in tile:
-            for m, (labels, sizes) in enumerate(per_model):
-                sums = [0.0] * len(sizes)
-                for ci, s in zip(labels, cell_sums):
-                    sums[ci] += s
-                totals[m] += _row_score(sums, labels[cell], sizes)
-    return [total / len(rows) for total in totals]
+    return _scores(models, ranges, packed, len(cells), 1, clusters)
 
 
 def _score_bound(n):
@@ -458,10 +451,7 @@ def select_k(ds, cfg):
         raise TooFewRows("auto-k needs at least 2 rows")
     if cfg.k_max < 2 or cfg.k_max > n:
         raise TooFewRows(f"k_max={cfg.k_max} out of range [2, {n}]")
-    models = [
-        kmeans(ds, KMeansConfig(k=k, max_iterations=cfg.max_iterations, seed=cfg.seed))
-        for k in range(2, cfg.k_max + 1)
-    ]
+    models = [kmeans(ds, cfg._replace(k=k)) for k in range(2, cfg.k_max + 1)]
     best = _certified_best(ds, models)
     if best is None:
         scores = silhouette_means(ds, models)

@@ -1,5 +1,5 @@
-"""The missing marker, the one range rule and the exceptions every module
-shares."""
+"""The missing marker, the one range rule, the one width check and the
+exceptions every module shares."""
 
 import math
 
@@ -9,18 +9,27 @@ MISSING = None
 
 def number_range(name, cells):
     """(lo, hi) over the non-missing cells of number column `name`, or
-    (0.0, 0.0) when there are none. Cells or a range that do not fit a
-    float are MalformedInput: an infinite cell, a range wider than the
-    largest float, and an int cell or int range past it alike."""
+    (0.0, 0.0) when there are none. MalformedInput if a cell is NaN, or if
+    a cell or the range does not fit a float: an infinite cell, a range
+    wider than the largest float, an int cell or int range past it."""
     present = [v for v in cells if v is not MISSING]
+    if any(v != v for v in present):  # min and max see only a first NaN
+        raise MalformedInput(f"column {name!r}: a cell is NaN")
     lo, hi = (min(present), max(present)) if present else (0.0, 0.0)
     try:
         fits = all(abs(float(v)) < math.inf for v in (lo, hi, hi - lo))
     except OverflowError:  # an int past the largest float
         fits = False
-    if not fits:
-        raise MalformedInput(f"column {name!r}: range {_shown(lo)} to {_shown(hi)} overflows a float")
+    if not fits:  # + 0 shows -0.0 as 0.0, which min and max may pick either of
+        raise MalformedInput(f"column {name!r}: range {_shown(lo + 0)} to {_shown(hi + 0)} overflows a float")
     return lo, hi
+
+
+def _check_arity(width, rows):
+    """ArityMismatch unless each row (or centroid) has width cells."""
+    for row in rows:
+        if len(row) != width:
+            raise ArityMismatch(f"row/centroid arity {len(row)} vs schema {width}")
 
 
 def _shown(cell):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 
-from .core import MISSING, MalformedInput, RaggedRow, UnknownAttribute
+from .core import MISSING, MalformedInput, RaggedRow, UnknownAttribute, _check_arity
 
 KINDS = ("numeric", "nominal", "text", "date")
 
@@ -228,15 +228,15 @@ def _open_sink(sink):
 def _write_rows(f, ds, nominal_column, text_column):
     """One line per row, written _BATCH rows at a time with one call per
     column: numbers by repr, nominal and text columns by their own
-    function. A row whose length is not the schema's is written alone,
-    cut to the shorter of the two. ds.rows is read once, in order, so it
-    may be a generator."""
+    function; with no columns, an empty line. A row whose length is not
+    the schema's is ArityMismatch, and its batch is not written. ds.rows
+    is read once, in order, so it may be a generator."""
     formats = [_column(lambda v: repr(float(v))) if s.is_number else nominal_column if s.kind == "nominal" else text_column for s in ds.schema]
     rows = iter(ds.rows)
     while batch := list(islice(rows, _BATCH)):
-        for part in [batch] if formats and {len(formats)} == set(map(len, batch)) else zip(batch):
-            columns = [fmt(cells) for fmt, cells in zip(formats, zip(*part))]
-            f.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        _check_arity(len(formats), batch)
+        columns = [fmt(cells) for fmt, cells in zip(formats, zip(*batch))]
+        f.write("\n".join(map(",".join, zip(*columns) if columns else [()] * len(batch))) + "\n")
 
 
 def write_csv(ds, sink):

@@ -15,6 +15,7 @@ from hypothesis import example, given, strategies as st
 from mailminer import (
     CANONICAL_ATTRIBUTES,
     MISSING,
+    ArityMismatch,
     AttributeSpec,
     Dataset,
     EmptyResultSchema,
@@ -38,6 +39,7 @@ from mailminer import (
 
 from mailminer import tabular
 from mailminer.analysis import SenderEntry, SenderReport, render_report
+from mailminer.core import number_range
 from mailminer.tabular import CANONICAL_HINTS, CANONICAL_SCHEMA, _csv_records, format_csv_field, format_csv_row
 
 from helpers import (
@@ -578,6 +580,45 @@ def test_one_range_rule_for_discretize_and_cluster(cells, shown):
         assert str(caught.value) == f"column 'x': range {shown} overflows a float"
 
 
+@pytest.mark.parametrize("at", range(4))
+def test_a_nan_cell_is_refused_wherever_it_stands(at):
+    # min and max see a NaN only when it comes first: after a first number,
+    # kmeans gave the centroid [nan], every row in cluster 0 and SSE nan,
+    # and filter_discretize a bare ValueError
+    cells = [1.0, MISSING, 2.0, 5.0]
+    cells.insert(at, math.nan)
+    ds = Dataset([AttributeSpec("x", "numeric")], [[c] for c in cells])
+    for call in (
+        lambda: attribute_ranges(ds),
+        lambda: kmeans(ds, KMeansConfig(k=2, seed=0)),
+        lambda: filter_discretize(ds, "x", 3),
+    ):
+        with pytest.raises(MalformedInput) as caught:
+            call()
+        assert str(caught.value) == "column 'x': a cell is NaN"
+
+
+def _range_verdict(cells):
+    try:
+        return number_range("x", cells)
+    except MalformedInput as exc:
+        return str(exc)
+
+
+_RANGE_CELL = st.one_of(
+    st.none(), st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308])
+)
+
+
+@given(st.lists(_RANGE_CELL, max_size=8).flatmap(lambda cells: st.tuples(st.just(cells), st.permutations(cells))))
+@example(([math.nan, 1.0, 2.0], [1.0, math.nan, 2.0]))
+@example(([0.0, -0.0, math.inf], [-0.0, 0.0, math.inf]))
+def test_number_range_does_not_depend_on_the_order_of_the_cells(pair):
+    # float cells, as read_csv makes them; an equal range compares equal
+    cells, shuffled = pair
+    assert _range_verdict(cells) == _range_verdict(shuffled)
+
+
 def test_an_int_column_past_the_largest_float_is_refused_by_discretize_and_kmeans():
     # both raised a bare OverflowError: discretize dividing the range into
     # bins, kmeans summing the cells for a centroid
@@ -752,13 +793,29 @@ def test_arff_reads_back_to_the_dataset(ds):
     assert read_arff(_arff_text(ds)) == ds
 
 
-def test_a_row_of_another_length_is_written_cut_to_the_shorter():
-    # such a row is written alone, cut to its own length or the schema's;
-    # the rows around it are written as a batch is
+@pytest.mark.parametrize("write", [write_csv, write_arff])
+@pytest.mark.parametrize("bad", [[2.0], [3.0, "b", "extra"]])
+def test_a_row_of_another_length_is_refused(tmp_path, write, bad):
+    # such a row used to be written cut to the shorter of it and the
+    # schema, a line that read_csv refuses (or "extra" dropped unsaid)
     schema = [AttributeSpec("n", "numeric"), AttributeSpec("t", "text")]
-    ds = Dataset(schema, [[1.0, "a"], [2.0], [3.0, "b", "extra"], [], [MISSING, "?"]])
-    assert _csv_text(ds) == 'n,t\n1.0,a\n2.0\n3.0,b\n\n?,"?"\n'
-    assert _arff_text(ds).split("@data\n")[1] == "1.0,'a'\n2.0\n3.0,'b'\n\n?,'?'\n"
+    ds = Dataset(schema, [[1.0, "a"], bad, [MISSING, "?"]])
+    with pytest.raises(ArityMismatch):
+        write(ds, io.StringIO())
+    target = tmp_path / "out"
+    target.write_text("old contents\n")
+    with pytest.raises(ArityMismatch):
+        write(ds, target)
+    assert target.read_text() == "old contents\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_a_dataset_with_no_columns_writes_an_empty_line_per_row():
+    ds = Dataset([], [[]] * 40)  # more rows than one batch
+    assert _csv_text(ds) == "\n" * 41
+    assert _arff_text(ds) == "@relation data\n@data\n" + "\n" * 40
+    with pytest.raises(ArityMismatch):
+        write_csv(Dataset([], [[], [1.0]]), io.StringIO())
 
 
 def test_arff_date_column_is_numeric_epoch_seconds():
