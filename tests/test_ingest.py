@@ -1,5 +1,7 @@
 import base64
+import email
 import email.header
+import email.policy
 import itertools
 import os
 import random
@@ -245,6 +247,7 @@ def test_space_next_to_a_verbatim_encoded_word_is_kept():
     token = "=?KOI8-R?B?0NLJ18XU?="
     value = f"=?utf-8?q?a?= \t{token} =?utf-8?q?b?=  plain =?utf-8?q?c?="
     assert decode_encoded_words(value) == f"a \t{token} b  plain c"
+
 
 
 def test_date_parsed_to_utc_seconds():
@@ -643,13 +646,19 @@ _LEAF_TYPES = ("text/plain", "text/html", "image/png", "application/pdf")
 _BOUNDARY_CHARS = "aZ'()+_,-/:=? "
 
 
+def _joined(draw, eols, lines):
+    """lines joined by line breaks drawn one at a time from eols."""
+    return "".join(line + draw(eols) for line in lines[:-1]) + lines[-1]
+
+
 @st.composite
-def _mime_part(draw, nl, ids, depth=0):
+def _mime_part(draw, eols, ids, depth=0):
     """One MIME part, headers, blank line and body, without a final line
     break, and the leaf content types it plants: a typed leaf, a part with
     no Content-Type (whose body may look like headers), a multipart with
     no boundary or with no part, and up to three levels of multipart with
-    a preamble, padded delimiter lines and, if closed, an epilogue."""
+    a preamble, padded delimiter lines and, if closed, an epilogue. Each
+    line break is drawn from eols."""
     others = draw(st.sampled_from([[], ["Content-Disposition: inline"]]))
     lines = draw(st.lists(_MIME_TEXT, max_size=3))
     kinds = ["untyped", "leaf", "no boundary", "no part"] + (["multipart"] if depth < 3 else [])
@@ -658,22 +667,22 @@ def _mime_part(draw, nl, ids, depth=0):
         # a body line that reads like a header stays body, even first after
         # the blank line that starts a part with no header (RFC 2046 §5.1.1)
         lines = draw(st.sampled_from([[], ["Content-Type: text/html"]])) + lines
-        return nl.join(others + [""] + lines), ["text/plain"]
+        return _joined(draw, eols, others + [""] + lines), ["text/plain"]
     if kind == "leaf":
         ctype = draw(st.sampled_from(_LEAF_TYPES))
         value = draw(st.sampled_from([str.lower, str.upper, str.title]))(ctype)
         value += draw(st.sampled_from(["", "; charset=utf-8", " ; name=x"]))
-        return nl.join([f"Content-Type: {value}"] + others + [""] + lines), [ctype]
+        return _joined(draw, eols, [f"Content-Type: {value}"] + others + [""] + lines), [ctype]
     ctype = "multipart/" + draw(st.sampled_from(["mixed", "alternative", "related"]))
     if kind == "no boundary":
-        return nl.join([f"Content-Type: {ctype}"] + others + [""] + lines), [ctype]
+        return _joined(draw, eols, [f"Content-Type: {ctype}"] + others + [""] + lines), [ctype]
     boundary = draw(st.text(alphabet=_BOUNDARY_CHARS, max_size=4)) + f".{next(ids)}"
     param = draw(st.sampled_from(["boundary", "Boundary"])) + "="
     param += boundary if " " not in boundary and draw(st.booleans()) else f'"{boundary}"'
-    head = f"Content-Type: {ctype};" + draw(st.sampled_from([" ", nl + "\t"])) + param
+    head = f"Content-Type: {ctype};" + draw(st.sampled_from([" ", draw(eols) + "\t"])) + param
     children = []
     if kind == "multipart":
-        children = draw(st.lists(_mime_part(nl, ids, depth + 1), min_size=1, max_size=3))
+        children = draw(st.lists(_mime_part(eols, ids, depth + 1), min_size=1, max_size=3))
     blanks = st.sampled_from(["", " ", " \t"])
     out = [head] + others + [""] + lines  # the lines before a delimiter are the preamble
     for text, _ in children:
@@ -681,14 +690,17 @@ def _mime_part(draw, nl, ids, depth=0):
     if draw(st.booleans()):
         out += ["--" + boundary + "--" + draw(blanks)] + draw(st.lists(_MIME_TEXT, max_size=2))
     leaves = [leaf for _, planted in children for leaf in planted]
-    return nl.join(out), leaves or [ctype]
+    return _joined(draw, eols, out), leaves or [ctype]
 
 
 @st.composite
-def _mime_messages(draw):
-    nl = draw(st.sampled_from(["\n", "\r\n"]))
-    part, leaves = draw(_mime_part(nl, itertools.count()))
-    return ("From: a@x.test" + nl + part).encode(), leaves
+def _mime_messages(draw, eols=None):
+    """Message bytes and their planted leaves: one line break throughout,
+    or, given eols, each drawn from it."""
+    if eols is None:
+        eols = st.just(draw(st.sampled_from(["\n", "\r\n"])))
+    part, leaves = draw(_mime_part(eols, itertools.count()))
+    return ("From: a@x.test" + draw(eols) + part).encode(), leaves
 
 
 @given(_mime_messages())
@@ -696,6 +708,18 @@ def _mime_messages(draw):
 def test_body_parts_are_the_planted_leaves(case):
     data, leaves = case
     assert parse_eml(data).body_parts == tuple(leaves)
+
+
+@given(_mime_messages(st.sampled_from(["\n", "\r\n"])))
+@example((b'Content-Type: multipart/mixed; boundary="a =.0"\n\npre\r\n--a =.0 \t\r\n\nx\n--a =.0--\nepi', ["text/plain"]))
+def test_body_parts_are_the_stdlib_leaves(case):
+    # with line breaks mixed, where every nested boundary differs from its
+    # ancestors' (RFC 2046 §5.1.1); compat32 is message_from_bytes' default
+    # policy, named so that a later default cannot move the oracle
+    data, planted = case
+    message = email.message_from_bytes(data, policy=email.policy.compat32)
+    leaves = [part.get_content_type() for part in message.walk() if not part.is_multipart()]
+    assert parse_eml(data).body_parts == tuple(leaves) == tuple(planted)
 
 
 def _mail(path, sender):
