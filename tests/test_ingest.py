@@ -249,6 +249,88 @@ def test_space_next_to_a_verbatim_encoded_word_is_kept():
     assert decode_encoded_words(value) == f"a \t{token} b  plain c"
 
 
+# Each codec that decode_encoded_words reads, and its charset as senders
+# spell it. An unknown charset is kept verbatim on purpose (a Subject is
+# not decoded by a guess), while the stdlib decodes any charset Python has
+# a codec for, so none is drawn.
+_SPELLINGS = {
+    "utf-8": ("utf-8", "UTF-8", "utf8"),
+    "latin-1": ("iso-8859-1", "ISO-8859-1", "iso8859-1", "latin-1", "latin1"),
+}
+# Unencoded words: printable ASCII less "=" and "?", so none starts an
+# encoded-word. The stdlib's make_header refuses a non-ASCII one.
+_PLAIN_WORDS = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E, exclude_characters="=?"), min_size=1, max_size=4)
+
+
+def _q_encoded(draw, raw):
+    """raw as Q text (RFC 2047 §4.2): a byte as its =XX escape in either
+    case, or, where the rules allow it, as itself ("_" for a space)."""
+    out = []
+    for byte in raw:
+        char = chr(byte)
+        if char == " " and draw(st.booleans()):
+            out.append("_")
+        elif (char.isascii() and char.isalnum() or char in "!*+-/") and draw(st.booleans()):
+            out.append(char)
+        else:
+            out.append(draw(st.sampled_from(["=%02X", "=%02x"])) % byte)
+    return "".join(out)
+
+
+@st.composite
+def _encoded_words(draw, spellings):
+    """One encoded-word of whole characters (RFC 2047 §5), B or Q, its
+    charset spelled as spellings gives it for the codec."""
+    codec = draw(st.sampled_from(sorted(spellings)))
+    alphabet = st.characters(max_codepoint=0xFF) if codec == "latin-1" else st.characters(exclude_categories=("Cs",))
+    raw = draw(st.text(alphabet, max_size=6)).encode(codec)
+    code = draw(st.sampled_from("bBqQ"))
+    text = base64.b64encode(raw).decode() if code in "bB" else _q_encoded(draw, raw)
+    return f"=?{spellings[codec]}?{code}?{text}?="
+
+
+@st.composite
+def _subject_values(draw):
+    """Encoded-words and unencoded words, at least one space or tab between
+    any two but two encoded-words (RFC 2047 §5), and none before the first.
+    Each charset has one spelling in a value: see
+    test_adjacent_words_of_one_charset_spelled_two_ways."""
+    spellings = {codec: draw(st.sampled_from(names)) for codec, names in _SPELLINGS.items()}
+    words = draw(st.lists(_encoded_words(spellings) | _PLAIN_WORDS, min_size=1, max_size=5))
+    value = words[0]
+    for before, word in zip(words, words[1:]):
+        both = before.startswith("=?") and word.startswith("=?")
+        value += draw(st.text(" \t", min_size=0 if both else 1, max_size=3)) + word
+    return value
+
+
+@given(_subject_values())
+@example("=?utf-8?q?caf=C3=A9?= =?iso-8859-1?Q?_bar?= plain\t=?UTF-8?B?w6k=?==?utf-8?q?=E2=82=AC?=")
+def test_subject_is_the_stdlib_reading(value):
+    # UTF-8 and latin-1, B and Q, adjacent words (RFC 2047 §6.2)
+    expected = str(email.header.make_header(email.header.decode_header(value)))
+    assert decode_encoded_words(value) == expected
+
+
+def test_adjacent_words_of_one_charset_spelled_two_ways():
+    # A stated rule where the stdlib differs: its Header joins two chunks
+    # of charsets it aliases to one with a space, so adjacent words in
+    # "latin-1" and "iso-8859-1" gain one; RFC 2047 §6.2 drops the space
+    # between adjacent encoded-words, and so does decode_encoded_words.
+    value = "=?latin-1?q?a?= =?iso-8859-1?q?b?="
+    assert str(email.header.make_header(email.header.decode_header(value))) == "a b"
+    assert decode_encoded_words(value) == "ab"
+
+
+def test_a_word_that_splits_a_character_is_kept_verbatim():
+    # A stated rule where the stdlib differs: it joins the bytes of adjacent
+    # words of one charset before it decodes them, so an "é" split across
+    # two words decodes; RFC 2047 §5 requires whole characters in each
+    # word, and decode_encoded_words keeps each undecodable word verbatim.
+    value = "=?utf-8?q?=C3?= =?utf-8?q?=A9?="
+    assert str(email.header.make_header(email.header.decode_header(value))) == "é"
+    assert decode_encoded_words(value) == value
+
 
 def test_date_parsed_to_utc_seconds():
     rec = _record(b"Date: Sat, 1 Jul 2023 08:00:00 +0200\r\n\r\n.")
