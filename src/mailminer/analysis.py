@@ -37,8 +37,9 @@ def _round_half_away(x):
 
 def summarize(model, ds):
     total = len(ds.rows)
-    percentages = tuple(_round_half_away(size * 100 / total) for size in model.sizes)
-    return ClusterSummary(tuple(model.sizes), percentages, model.iterations, model.chosen_k)
+    sizes = tuple(model.sizes)
+    percentages = tuple(_round_half_away(size * 100 / total) for size in sizes)
+    return ClusterSummary(sizes, percentages, model.iterations, len(model.centroids))
 
 
 def top_senders(records, n):

@@ -113,7 +113,7 @@ def cmd_cluster(args):
         return _usage("--kmax must be >= 2")
     if args.max_iter < 1:
         return _usage("--max-iter must be >= 1")
-    ds = read_csv(args.csv, kind_hints=CANONICAL_HINTS, relation_name="emails")
+    ds = read_csv(args.csv, kind_hints=CANONICAL_HINTS)
     if args.k is not None:
         model = kmeans(ds, KMeansConfig(k=args.k, max_iterations=args.max_iter, seed=args.seed))
     else:
@@ -127,7 +127,7 @@ def cmd_cluster(args):
 def cmd_dupes(args):
     from .analysis import render_report
 
-    ds = read_csv(args.csv, kind_hints=CANONICAL_HINTS, relation_name="emails")
+    ds = read_csv(args.csv, kind_hints=CANONICAL_HINTS)
     profile = duplicate_profile(ds, _split_attrs(args.attrs))
     render_report(profile, "text", args.out or sys.stdout)
     return EXIT_OK
@@ -171,7 +171,7 @@ def cmd_filter(args):
             hints[name] = "numeric"
     if args.sample is not None and not 0 < args.sample <= 1:
         return _usage("--sample fraction must be in (0, 1]")
-    ds = read_csv(args.csv, kind_hints=hints, relation_name="emails")
+    ds = read_csv(args.csv, kind_hints=hints)
     if args.remove is not None:
         out = filter_remove(ds, _split_attrs(args.remove))
     elif args.sample is not None:

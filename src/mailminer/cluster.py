@@ -35,12 +35,23 @@ KMeansConfig = namedtuple("KMeansConfig", "k k_max max_iterations seed", default
 
 @dataclass
 class ClusterModel:
+    """What a fit decides: its centroids, each row's cluster, the passes it
+    took and its SSE. The rest is read from these."""
+
     centroids: list
     assignment: list
     iterations: int
     sse: float
-    sizes: list
-    chosen_k: int
+
+    @property
+    def sizes(self):
+        """The number of rows in each cluster, in cluster order."""
+        return [self.assignment.count(ci) for ci in range(len(self.centroids))]
+
+    @property
+    def chosen_k(self):
+        """The number of clusters, len(centroids)."""
+        return len(self.centroids)
 
 
 def attribute_ranges(ds):
@@ -258,8 +269,7 @@ def kmeans(ds, cfg, initial_centroids=None):
         # capped: the last update moved the centroids
         total_sse = _sse(rows, centroids, assignment, ranges)
 
-    sizes = [assignment.count(ci) for ci in range(k)]
-    return ClusterModel(centroids, assignment, iterations, total_sse, sizes, k)
+    return ClusterModel(centroids, assignment, iterations, total_sse)
 
 
 def _check_assignment(n, model):
@@ -333,7 +343,7 @@ def _scores(models, ranges, packed, width, tile_models, clusters):
     rows are grown to width sums, passed, then, their sums final, scored
     in order and let go; clusters(sums, *columns) gives per model a row's
     sums to each cluster and its own. No rows give 0.0."""
-    sizes = [[model.assignment.count(ci) for ci in range(len(model.centroids))] for model in models]
+    sizes = [model.sizes for model in models]
     totals = [0.0] * len(models)
     for start in range(0, len(packed), TILE):
         tile = packed[start : start + TILE]
@@ -457,7 +467,7 @@ def select_k(ds, cfg):
         scores = silhouette_means(ds, models)
         # max() keeps the first of equal scores: ties go to the smallest k
         best = max(range(len(models)), key=scores.__getitem__)
-    return models[best].chosen_k, models[best]
+    return len(models[best].centroids), models[best]
 
 
 def _certified_best(ds, models):

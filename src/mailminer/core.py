@@ -20,8 +20,12 @@ def number_range(name, cells):
         fits = all(abs(float(v)) < math.inf for v in (lo, hi, hi - lo))
     except OverflowError:  # an int past the largest float
         fits = False
-    if not fits:  # + 0 shows -0.0 as 0.0, which min and max may pick either of
-        raise MalformedInput(f"column {name!r}: range {_shown(lo + 0)} to {_shown(hi + 0)} overflows a float")
+    if not fits:
+        # min and max pick the first of equal cells: of an int and an equal
+        # float the float is shown, and + 0 shows -0.0 as 0.0
+        floats = {v for v in present if isinstance(v, float)}
+        lo, hi = (float(v) + 0 if v in floats else v for v in (lo, hi))
+        raise MalformedInput(f"column {name!r}: range {_shown(lo)} to {_shown(hi)} overflows a float")
     return lo, hi
 
 

@@ -57,27 +57,15 @@ _CHARSETS = {
 }
 
 
-class RawEmail(namedtuple("RawEmail", "headers body_parts index")):
+class RawEmail(namedtuple("RawEmail", "headers body_parts")):
     """One message: headers, its ((name, value), ...) unfolded in order;
-    body_parts, the content types of its leaf MIME parts; and index (see
-    _parse_header_block), which equality, hash and repr pass over."""
+    and body_parts, the content types of its leaf MIME parts."""
 
     __slots__ = ()
 
-    def __eq__(self, other):
-        return self[:2] == other[:2] if isinstance(other, RawEmail) else NotImplemented
-
-    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's, which compares index
-
-    def __hash__(self):
-        return hash(self[:2])
-
-    def __repr__(self):
-        return f"RawEmail(headers={self.headers!r}, body_parts={self.body_parts!r})"
-
     def get(self, name):
         """First header value with the given name, case-insensitive."""
-        return _first(self.index, name.lower())
+        return _first(self.headers, name.lower())
 
 
 class EmailRecord(namedtuple("EmailRecord", "date message_id cc from_addr subject has_html")):
@@ -97,8 +85,7 @@ class ScanResult(namedtuple("ScanResult", "records skipped")):
 
 
 def _parse_header_block(text):
-    """Header lines to (name, value) pairs, and an index from each
-    lowercased name to its values in order. Folded continuations are
+    """Header lines to (name, value) pairs. Folded continuations are
     joined with a single space, once for each header that folds. Lines
     with no colon are ignored. Lines end at "\n" or "\r\n" only, so a form
     feed, U+0085 or U+2028 in a value is part of it."""
@@ -114,31 +101,23 @@ def _parse_header_block(text):
         # else: a blank or stray line (e.g. mbox "From " marker), skip it
     for i, pieces in folds.items():
         pairs[i] = (pairs[i][0], " ".join(pieces))
-    index = {}
-    for name, value in pairs:
-        index.setdefault(name.lower(), []).append(value)
-    return pairs, index
+    return pairs
 
 
-def _first(index, low):
-    """The first value under a lowercased name in a header index, or None."""
-    values = index.get(low)
-    return values[0] if values else None
+def _first(pairs, low):
+    """The first value of the header pairs under a lowercased name, or None."""
+    return next((value for name, value in pairs if name.lower() == low), None)
 
 
 def _split_head(text, start, end):
     """The span text[start:end] cut at its first blank line (CRLF or LF
-    endings) into its header pairs, their index and the (start, end) span
-    of the body after the line; with no blank line, all of the span is
-    header and the body is None. Only the header lines are copied."""
+    endings) into its header pairs and the (start, end) span of the body
+    after the line; with no blank line, all of the span is header and the
+    body is None. Only the header lines are copied."""
     m = _SEPARATOR.search(text, start, end)
     if m is None:
-        return (*_parse_header_block(text[start:end]), None)
-    return (*_parse_header_block(text[start : m.start()]), (m.end(), end))
-
-
-def _main_type(ct_value):
-    return ct_value.split(";", 1)[0].strip().lower()
+        return _parse_header_block(text[start:end]), None
+    return _parse_header_block(text[start : m.start()]), (m.end(), end)
 
 
 def _boundary(ct_value):
@@ -178,24 +157,24 @@ def _split_segments(text, body, boundary):
     return segments
 
 
-def _part_types(index, text, body, depth=1):
+def _part_types(headers, text, body, depth=1):
     """The content types of a message's or part's leaves, given its header
-    index and the span of its body in text (None if it has none). A
+    pairs and the span of its body in text (None if it has none). A
     multipart is cut at its delimiter lines (see _split_segments) and each
     segment is read as a part, recursively, to _MAX_NESTING levels. A
     multipart with no boundary parameter, no segment or too deep is one
     leaf of its own type, as is any other part; a part without a
     Content-Type is text/plain."""
-    ct_value = _first(index, "content-type")
+    ct_value = _first(headers, "content-type")
     if not ct_value:
         return ["text/plain"]
-    ctype = _main_type(ct_value)
+    ctype = ct_value.split(";", 1)[0].strip().lower()
     boundary = depth <= _MAX_NESTING and ctype.startswith("multipart/") and _boundary(ct_value)
     parts = []
     if boundary and body:
         for segment in _split_segments(text, body, boundary):
-            _, part_index, part_body = _split_head(text, *segment)
-            parts += _part_types(part_index, text, part_body, depth + 1)
+            part_headers, part_body = _split_head(text, *segment)
+            parts += _part_types(part_headers, text, part_body, depth + 1)
     return parts or [ctype]
 
 
@@ -216,7 +195,7 @@ def _decode_head(data):
 
 
 def _cut_message(data, source_path):
-    """Header pairs, index, text and body span of message bytes decoded by
+    """Header pairs, text and body span of message bytes decoded by
     _decode_head, cut by _split_head as each MIME part is (a UTF-8 sequence
     holds no CR or LF, so the cut falls where it falls in the bytes). In
     a file with no LF each CR ends a line (classic Mac); where a file has
@@ -225,19 +204,19 @@ def _cut_message(data, source_path):
     if b"\n" not in data:
         data = data.replace(b"\r", b"\n")
     text = _decode_head(data)
-    headers, index, body = _split_head(text, 0, len(text))
+    headers, body = _split_head(text, 0, len(text))
     if not headers and body is None:
         raise MalformedInput(
             f"not an email message: no header/body separator and no header line"
             + (f" in {source_path}" if source_path else "")
         )
-    return headers, index, text, body
+    return headers, text, body
 
 
 def parse_eml(data, source_path=None):
     """Parse raw .eml bytes into a RawEmail (see _cut_message)."""
-    headers, index, text, body = _cut_message(data, source_path)
-    return RawEmail(tuple(headers), tuple(_part_types(index, text, body)), index)
+    headers, text, body = _cut_message(data, source_path)
+    return RawEmail(tuple(headers), tuple(_part_types(headers, text, body)))
 
 
 def _decode_q(text):
@@ -340,22 +319,28 @@ def extract_record(raw):
 
     Every malformed field degrades to MISSING; this never raises.
     """
-    index = raw.index
-    date = _timestamp(_first(index, "date"))
+    # each lowercased name's first value, and every Cc value, in one pass
+    first, cc_values = {}, []
+    for name, value in raw.headers:
+        low = name.lower()
+        first.setdefault(low, value)
+        if low == "cc":
+            cc_values.append(value)
+    date = _timestamp(first.get("date"))
 
     message_id = MISSING
-    mid = _first(index, "message-id")
+    mid = first.get("message-id")
     if mid:
         mid = mid.strip().strip("<>").strip()
         if mid:
             message_id = mid
 
-    from_addr = _from_addr(_first(index, "from") or "")
+    from_addr = _from_addr(first.get("from") or "")
 
-    cc = [addr for value in index.get("cc", ()) for addr in _addresses(value) if addr is not MISSING]
+    cc = [addr for value in cc_values for addr in _addresses(value) if addr is not MISSING]
 
     subject = MISSING
-    subject_header = _first(index, "subject")
+    subject_header = first.get("subject")
     if subject_header:
         decoded = decode_encoded_words(subject_header).strip()
         if decoded:
@@ -407,7 +392,7 @@ def read_record(data, source_path=None):
 
 def read_sender(data, source_path=None):
     """read_record(data).from_addr, read from the cut head alone."""
-    return _from_addr(_first(_cut_message(data, source_path)[1], "from") or "")
+    return _from_addr(_first(_cut_message(data, source_path)[0], "from") or "")
 
 
 def iter_corpus(directory, skipped, read=read_record):

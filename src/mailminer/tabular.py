@@ -336,25 +336,30 @@ def read_csv(source, kind_hints=None, relation_name="data"):
     else is wrong with it. A stream is read a chunk at a time.
     """
     with _source_lines(source) as lines:
-        try:
-            return _read_records(_csv_records(lines), kind_hints, relation_name)
-        except (ValueError, MalformedInput, RaggedRow):
-            bad = _first_bad_line(source) if isinstance(source, (str, os.PathLike)) else None
-            if bad is None:
-                raise
-    raise MalformedInput(f"line {bad}: not valid UTF-8")
+        return _read_records(_csv_records(lines), kind_hints, relation_name)
 
 
 @contextlib.contextmanager
 def _source_lines(source):
     """The lines of a CSV source, each with its LF, less a leading byte-order
     mark (not part of the first header name): a path's read and decoded one
-    at a time, a stream's cut from its chunks; a bare CR stays in its line."""
+    at a time, a stream's cut from its chunks; a bare CR stays in its line.
+    If reading a path's lines fails, and a line of the file is not UTF-8,
+    the first such line is the fault: MalformedInput names it."""
     if not isinstance(source, (str, os.PathLike)):
         yield _stream_lines(source)
         return
     with open(source, encoding="utf-8-sig", newline="\n") as f:  # utf-8-sig drops the mark
-        yield f
+        try:
+            yield f
+        except (ValueError, MalformedInput, RaggedRow):
+            with open(source, "rb") as raw:
+                for number, line in enumerate(raw, 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise MalformedInput(f"line {number}: not valid UTF-8") from None
+            raise
 
 
 def _stream_lines(stream):
@@ -367,17 +372,6 @@ def _stream_lines(stream):
         chunk = stream.read(max(_CHUNK, len(head)))
     if head:
         yield head
-
-
-def _first_bad_line(path):
-    """The number of the first line of a file that is not UTF-8, or None."""
-    with open(path, "rb") as f:
-        for number, line in enumerate(f, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return number
-    return None
 
 
 def _read_records(records, kind_hints, relation_name):

@@ -12,8 +12,20 @@
 #         ~/.pyenv/versions/3.11.7/bin/python3 ~/.pyenv/versions/3.12.1/bin/python3 \
 #         ~/.pyenv/versions/3.13.0/bin/python3 /usr/bin/python3.11
 #
-# Says which interpreters had no tier-1 run, and exits non-zero if any
-# check or test run failed (or an interpreter would not start).
+# PYTHONPATH is passed on, so an interpreter with no pytest of its own can
+# import another's. With 3.11.7's site-packages on it, tier-1 runs on
+# 3.11.2, 3.12.1 and 3.13.0 as well:
+#
+#     PYTHONPATH="$(~/.pyenv/versions/3.11.7/bin/python3 -c \
+#         'import site; print(site.getsitepackages()[0])')" tests/check_pythons.sh ...
+#
+# 3.10.13 cannot run it that way: below 3.11 pytest 9 imports
+# exceptiongroup, which is not installed there, so 3.10.13 runs the four
+# --check gates only.
+#
+# Says which interpreters ran tier-1 and which had no tier-1 run, and exits
+# non-zero if any check or test run failed (or an interpreter would not
+# start).
 set -u
 cd "$(dirname "$0")/.." || exit 2
 if [ $# -eq 0 ]; then
@@ -21,6 +33,7 @@ if [ $# -eq 0 ]; then
     exit 2
 fi
 failed=""
+ran=""
 skipped=""
 for py in "$@"; do
     echo "== $py"
@@ -30,10 +43,12 @@ for py in "$@"; do
     if "$py" -c "import pytest, hypothesis" 2>/dev/null; then
         PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" "$py" -m pytest -q --continue-on-collection-errors \
             || failed="$failed $py:tier-1"
+        ran="$ran $py"
     else
         skipped="$skipped $py"
     fi
 done
+echo "tier-1 ran on:${ran:- none}"
 if [ -n "$skipped" ]; then
     echo "tier-1 skipped, no pytest or hypothesis:$skipped"
 fi

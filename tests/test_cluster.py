@@ -2,7 +2,7 @@ import math
 import random
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -516,6 +516,17 @@ def test_an_assignment_that_does_not_fit_the_dataset_is_refused():
                 call()
 
 
+def test_sizes_and_k_are_read_from_the_fit():
+    # a model holds only what its fit decides, so one with its assignment
+    # replaced cannot keep the sizes of the assignment it had
+    ds = _numeric_ds([0, 1, 10, 11, 12])
+    model = kmeans(ds, KMeansConfig(k=2, seed=1))
+    assert [field.name for field in fields(ClusterModel)] == ["centroids", "assignment", "iterations", "sse"]
+    moved = replace(model, assignment=[0, 0, 0, 0, 1])
+    assert sorted(model.sizes) == [2, 3] and moved.sizes == [4, 1]
+    assert model.chosen_k == moved.chosen_k == len(model.centroids) == 2
+
+
 def _brute_force_select_k(ds, cfg):
     best = None
     for k in range(2, cfg.k_max + 1):
@@ -615,7 +626,7 @@ def _modular_models(n, ks):
     models = []
     for k in ks:
         assignment = [i % k for i in range(n)]
-        models.append(ClusterModel([[0.0]] * k, assignment, 1, 0.0, [assignment.count(c) for c in range(k)], k))
+        models.append(ClusterModel([[0.0]] * k, assignment, 1, 0.0))
     return models
 
 

@@ -606,15 +606,18 @@ def _range_verdict(cells):
 
 
 _RANGE_CELL = st.one_of(
-    st.none(), st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308])
+    st.none(), st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308]),
+    st.integers(), st.sampled_from([0, 2**1023, -(2**1023), 2**1024, 10**400, 2.0**1023, -(2.0**1023)]),
 )
 
 
 @given(st.lists(_RANGE_CELL, max_size=8).flatmap(lambda cells: st.tuples(st.just(cells), st.permutations(cells))))
 @example(([math.nan, 1.0, 2.0], [1.0, math.nan, 2.0]))
 @example(([0.0, -0.0, math.inf], [-0.0, 0.0, math.inf]))
+@example(([2**1023, 2.0**1023, -(2.0**1023)], [2.0**1023, 2**1023, -(2.0**1023)]))
 def test_number_range_does_not_depend_on_the_order_of_the_cells(pair):
-    # float cells, as read_csv makes them; an equal range compares equal
+    # float cells, as read_csv makes them, and int cells; an equal range
+    # compares equal, and a refusal's message is the same
     cells, shuffled = pair
     assert _range_verdict(cells) == _range_verdict(shuffled)
 
@@ -627,6 +630,16 @@ def test_an_int_column_past_the_largest_float_is_refused_by_discretize_and_kmean
     for call in (lambda: filter_discretize(ds, "x", 3), lambda: kmeans(ds, KMeansConfig(k=2))):
         with pytest.raises(MalformedInput) as caught:
             call()
+        assert str(caught.value) == message
+
+
+def test_of_an_int_and_an_equal_float_the_float_is_shown():
+    # the message showed whichever came first: the high end was the
+    # 308-digit int, or 8.98846567431158e+307 in the other order
+    message = "column 'x': range -8.98846567431158e+307 to 8.98846567431158e+307 overflows a float"
+    for cells in ([2**1023, 2.0**1023, -(2.0**1023)], [2.0**1023, 2**1023, -(2.0**1023)], [-(2**1023), 2.0**1023, -(2.0**1023), 2**1023]):
+        with pytest.raises(MalformedInput) as caught:
+            number_range("x", cells)
         assert str(caught.value) == message
 
 
